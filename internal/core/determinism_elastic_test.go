@@ -91,6 +91,11 @@ func runElasticFingerprint(t *testing.T, shards, budget int, withCrash bool) ([]
 	if err := cfg.Obs.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
+	scenario := "elastic"
+	if withCrash {
+		scenario = "elastic-crash"
+	}
+	checkGolden(t, scenario, buf.Bytes())
 	return buf.Bytes(), rep
 }
 

@@ -103,6 +103,7 @@ func runMigrationFingerprint(t *testing.T, mode string, shards, budget int) ([]b
 	if err := cfg.Obs.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "migration/"+mode, buf.Bytes())
 
 	var results []engine.AggResult
 	for qi := 0; qi < s.Engine().NumQueries(); qi++ {

@@ -116,6 +116,11 @@ func runFingerprint(t *testing.T, kind spe.Kind, shards, budget, batch int, with
 	if err := cfg.Obs.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
+	scenario := "plain/" + kind.String()
+	if withFaults {
+		scenario = "faults/" + kind.String()
+	}
+	checkGolden(t, scenario, buf.Bytes())
 	return buf.Bytes(), rep
 }
 

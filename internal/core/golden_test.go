@@ -1,0 +1,74 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"runtime"
+	"testing"
+)
+
+// The determinism grids compare a build with itself; the golden
+// digests compare it with history. Every fingerprint the suites cut —
+// base run and grid cell alike — is hashed and checked against
+// testdata/golden_fingerprints.json, so a refactor that is
+// self-consistent but moved an output byte still fails. Digests are
+// keyed by GOARCH (fused multiply-add changes float bits across
+// architectures); regenerate with
+//
+//	go test ./internal/core -run 'GoldenTrace|MigrationStaged' -update
+//
+// only in a change that means to move the fingerprint.
+
+const goldenPath = "testdata/golden_fingerprints.json"
+
+var updateGolden = flag.Bool("update", false, "rewrite "+goldenPath+" for this GOARCH from the current build")
+
+// golden maps GOARCH → scenario → sha256 of the run fingerprint.
+var golden = func() map[string]map[string]string {
+	m := map[string]map[string]string{}
+	if b, err := os.ReadFile(goldenPath); err == nil {
+		if err := json.Unmarshal(b, &m); err != nil {
+			panic(goldenPath + ": " + err.Error())
+		}
+	}
+	return m
+}()
+
+// checkGolden asserts fp against the committed digest for scenario. On
+// an architecture with no committed digests the check is skipped with
+// a message; the grid's self-comparison still runs.
+func checkGolden(t *testing.T, scenario string, fp []byte) {
+	t.Helper()
+	sum := sha256.Sum256(fp)
+	got := hex.EncodeToString(sum[:])
+	arch := golden[runtime.GOARCH]
+	if *updateGolden {
+		if arch == nil {
+			arch = map[string]string{}
+			golden[runtime.GOARCH] = arch
+		}
+		arch[scenario] = got
+		b, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if arch == nil {
+		t.Logf("no golden digests for GOARCH=%s in %s; history check skipped (cut them with -update)", runtime.GOARCH, goldenPath)
+		return
+	}
+	want, ok := arch[scenario]
+	if !ok {
+		t.Fatalf("scenario %q has no golden digest for GOARCH=%s; cut it with -update", scenario, runtime.GOARCH)
+	}
+	if got != want {
+		t.Fatalf("scenario %q fingerprint sha256 %s, golden %s: output moved against history", scenario, got, want)
+	}
+}
