@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	figures [-full] [-fig N] [-workers N] [-shards N] [-batch N] [-bench-json FILE]
+//	figures [-full] [-fig N] [-workers N] [-batch N] [-bench-json FILE]
 //
 // Without flags it runs the quick scale (seconds of wall time per
 // figure); -full approaches the paper's dimensions. -fig selects one
@@ -15,20 +15,20 @@
 // run).
 // -workers bounds the run-matrix pool the harnesses fan cells over
 // (0 = SASPAR_PARALLEL env, then GOMAXPROCS; 1 = sequential); output
-// is identical at any worker count. -shards additionally parallelizes
-// each cell's engine ticks (engine.Config.Shards); the shared token
-// budget in internal/parallel keeps workers × shards from
-// oversubscribing the host, and output is byte-identical at any shard
-// count too. -batch sets the engine's generation block size
+// is identical at any worker count. Each cell's engine fans its large
+// ticks over whatever tokens the pool left in the shared budget
+// (internal/parallel); output is byte-identical either way. -batch
+// sets the engine's generation block size
 // (engine.Config.BatchSize, default 64; 1 = tuple-at-a-time): a pure
 // execution knob of the columnar data plane, byte-identical output at
 // any value. -bench-json measures a performance
 // snapshot — engine tick cost and sequential-vs-parallel RunAll wall
 // clock — and writes it to FILE instead of running figures.
-// -bench-compare re-measures only the engine_step entries (best of
-// three) and fails if any mode regressed more than -bench-tolerance
-// percent against the committed baseline FILE; scripts/bench_compare.sh
-// is the CI entry point.
+// -bench-compare re-measures only engine_step and engine_run (best of
+// three) and fails if an engine_step mode regressed more than
+// -bench-tolerance percent against the committed baseline FILE, or an
+// engine_run auto arm is that far behind the better pinned arm of its
+// fixture; scripts/bench_compare.sh is the CI entry point.
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 	full := flag.Bool("full", false, "run at paper scale (slow)")
 	fig := flag.String("fig", "", "run a single figure (6,7,8,9,10,11,12a,12b,13,ml,recovery,ckpt-recovery,greedy,elastic,migration)")
 	benchJSON := flag.String("bench-json", "", "write a performance snapshot to this file and exit")
-	benchCompare := flag.String("bench-compare", "", "compare current engine_step cost against this committed BENCH_*.json and exit non-zero on regression")
+	benchCompare := flag.String("bench-compare", "", "compare current engine_step cost against this committed BENCH_*.json, and engine_run auto against its pinned arms, and exit non-zero on regression")
 	benchTol := flag.Float64("bench-tolerance", 25, "ns/op regression tolerance for -bench-compare, percent")
 	cf.Register(flag.CommandLine)
 	cf.RegisterWorkers(flag.CommandLine)
@@ -60,7 +60,6 @@ func main() {
 		sc = bench.Paper()
 	}
 	sc.Workers = cf.Workers
-	sc.Shards = cf.Shards
 	sc.Batch = cf.Batch
 
 	if *benchCompare != "" {

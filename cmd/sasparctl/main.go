@@ -35,18 +35,16 @@
 //	sasparctl run -workload tpch|ajoin|gcm -sut SASPAR+Flink|Flink|...
 //	          [-queries N] [-nodes N] [-partitions N] [-groups N]
 //	          [-rate R] [-warmup D] [-measure D] [-drift D] [-seed S]
-//	          [-shards N] [-batch N]
+//	          [-batch N]
 //	sasparctl inspect [-workload W] [-queries N] [-duration D]
-//	          [-drift D] [-rate R] [-events N] [-seed S] [-shards N]
-//	          [-batch N]
+//	          [-drift D] [-rate R] [-events N] [-seed S] [-batch N]
 //	sasparctl faults [-seeds N] [-workers N] [-full] [-nodes N] [-rate R]
-//	          [-shards N] [-batch N]
-//	sasparctl checkpoints [-interval D] [-retention N] [-incremental]
-//	          [-duration D] [-crash] [-dir PATH] [-seed S] [-shards N]
 //	          [-batch N]
+//	sasparctl checkpoints [-interval D] [-retention N] [-incremental]
+//	          [-duration D] [-crash] [-dir PATH] [-seed S] [-batch N]
 //	sasparctl serve [-addr HOST:PORT] [-http HOST:PORT] [-workload W]
 //	          [-queries N] [-nodes N] [-groups N] [-tasks N] [-for D]
-//	          [-ring N] [-blockrows N] [-seed S] [-shards N] [-batch N]
+//	          [-ring N] [-blockrows N] [-seed S] [-batch N]
 //	sasparctl blast -addr HOST:PORT [-workload W] [-queries N]
 //	          [-tasks N] [-rows N] [-for D] [-blockrows N]
 //	          [-report URL]
@@ -54,13 +52,12 @@
 //	          [-groups N] [-rate R] [-duration D] [-nic B]
 //	          [-autoscale] [-autoscale-max N] [-autoscale-high W]
 //	          [-autoscale-low W] [-autoscale-step N] [-autoscale-poll D]
-//	          [-events N] [-seed S] [-shards N] [-batch N]
+//	          [-events N] [-seed S] [-batch N]
 //
-// -shards parallelizes each run's engine ticks across that many
-// workers (intra-run sharding); -batch sets the generation block size
-// of the columnar data plane (0 = the engine default of 64, 1 =
-// tuple-at-a-time). Both are pure execution knobs: output is
-// byte-identical at any value.
+// -batch sets the generation block size of the columnar data plane
+// (0 = the engine default of 64, 1 = tuple-at-a-time), a pure
+// execution knob: output is byte-identical at any value. Tick workers
+// have no flag: the engine sizes them itself (internal/engine/shard.go).
 package main
 
 import (
@@ -437,7 +434,6 @@ func faultsCmd(args []string) {
 		sc = bench.Paper()
 	}
 	sc.Workers = cf.Workers
-	sc.Shards = cf.Shards
 	sc.Batch = cf.Batch
 	if *nodes > 0 {
 		sc.Nodes = *nodes
@@ -753,6 +749,8 @@ func inspectCmd(args []string) {
 	fmt.Printf("solver       %d MIP solves, %d branch-and-bound nodes\n", snap.Solves, snap.NodesExplored)
 	fmt.Printf("engine       %.0f tuples reshuffled, %d JIT compilations, wire %.1f MB\n",
 		snap.Reshuffled, snap.JITCompiles, snap.Net.BytesNet/1e6)
+	ts := sys.Engine().TickStats()
+	fmt.Printf("ticks        %d, %d on more than one worker (latest on %d)\n", ts.Ticks, ts.ParallelTicks, ts.Workers)
 
 	trace := sys.Trace()
 	fmt.Printf("\n--- event trace (%d events) ---\n", len(trace))

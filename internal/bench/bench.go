@@ -60,21 +60,12 @@ type Scale struct {
 	// output is identical at any worker count.
 	Workers int
 
-	// Shards caps the worker goroutines each cell's engine uses per
-	// simulation tick (engine.Config.Shards): intra-run parallelism on
-	// top of the cell-level fan-out. The process-wide token budget in
-	// internal/parallel keeps matrix workers × shards from
-	// oversubscribing the machine, and engine output is byte-identical
-	// at any shard count, so this knob, like Workers, trades wall clock
-	// only. 0 and 1 both mean single-threaded ticks.
-	Shards int
-
 	// Batch is the engine's generation block size
 	// (engine.Config.BatchSize): how many tuples the columnar data plane
 	// carries per block on the source → router → slot hot path. Purely an
 	// execution blocking factor — results are byte-identical at every
 	// value (the batch-axis determinism tests enforce it), so like
-	// Workers and Shards it trades wall clock only. 0 means the engine
+	// Workers it trades wall clock only. 0 means the engine
 	// default of 64; 1 forces tuple-at-a-time execution.
 	Batch int
 
@@ -147,7 +138,6 @@ func (sc Scale) engineConfig() engine.Config {
 	cfg.NumGroups = sc.Groups
 	cfg.SourceTasks = sc.SourceTasks
 	cfg.TupleWeight = sc.TupleWeight
-	cfg.Shards = sc.Shards
 	cfg.BatchSize = sc.Batch
 	return cfg
 }

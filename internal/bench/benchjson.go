@@ -38,7 +38,8 @@ type BenchUnit struct {
 type BenchReport struct {
 	Schema     string `json:"schema"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"` // resolved pool size for the parallel RunAll
+	NumCPU     int    `json:"num_cpu,omitempty"` // absent from snapshots before PR 14
+	Workers    int    `json:"workers"`           // resolved pool size for the parallel RunAll
 
 	// BatchSize is the generation block size the engine-step entries ran
 	// at (engine.Config.BatchSize; the "shared_batch1" entry pins 1).
@@ -50,12 +51,13 @@ type BenchReport struct {
 	// tuple-at-a-time generation, so the batch-off tax stays visible.
 	EngineStep map[string]BenchUnit `json:"engine_step"`
 
-	// EngineRunSharded holds the same shared fixture's tick cost at
-	// shards 1, 2 and 4 ("shards1"...), measured with the process-wide
-	// parallel budget raised so shard workers are actually granted on
-	// small CI hosts. Outputs are byte-identical across entries (the
-	// determinism tests enforce it); only the time column may move.
-	EngineRunSharded map[string]BenchUnit `json:"engine_run_sharded"`
+	// EngineRun holds whole-tick cost on both sides of the engine's
+	// worker-sizing rule, keyed "<fixture>/<arm>": micro is engine_step's
+	// shared fixture, heavy the serving shape (see stepBenchEngine); the
+	// arms pin the tick inline, pin it to worker goroutines, or leave it
+	// to the rule, which the gate holds to the better pinned arm. Absent
+	// before PR 14 (engine_run_sharded, a shards 1/2/4 knob, instead).
+	EngineRun map[string]BenchUnit `json:"engine_run,omitempty"`
 
 	RunAllSequentialSec float64 `json:"runall_sequential_seconds"`
 	RunAllParallelSec   float64 `json:"runall_parallel_seconds"`
@@ -132,8 +134,10 @@ func (g *blockGen) NextBlock(b *engine.TupleBlock, from, to int) {
 // stepBenchEngine builds a primed steady-state engine through the
 // exported API — the same shape as the internal BenchmarkEngineStep
 // fixture: two streams with deterministic generators, a mix of keyed
-// aggregations and a join.
-func stepBenchEngine(shared bool, shards, batch int) (*engine.Engine, vtime.Duration, error) {
+// aggregations and a join — ~5 k concrete rows per 50–120 µs tick.
+// heavy makes it the shape `sasparctl serve` runs: weight 1, exact
+// windows, 20 k concrete rows per ms-scale tick.
+func stepBenchEngine(shared, heavy bool, batch int) (*engine.Engine, vtime.Duration, error) {
 	cfg := engine.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.NumPartitions = 8
@@ -141,8 +145,11 @@ func stepBenchEngine(shared bool, shards, batch int) (*engine.Engine, vtime.Dura
 	cfg.SourceTasks = 4
 	cfg.TupleWeight = 500
 	cfg.Shared = shared
-	cfg.Shards = shards
 	cfg.BatchSize = batch
+	rateA, rateB := 20e6, 5e6
+	if heavy {
+		cfg.TupleWeight, cfg.ExactWindows, rateA, rateB = 1, true, 160e3, 40e3
+	}
 	gen := func(salt int64) func(task int) engine.Source {
 		return func(task int) engine.Source {
 			return &blockGen{i: int64(task)*7919 + salt}
@@ -164,8 +171,8 @@ func stepBenchEngine(shared bool, shards, batch int) (*engine.Engine, vtime.Dura
 	if err != nil {
 		return nil, 0, err
 	}
-	e.SetStreamRate(0, 20e6)
-	e.SetStreamRate(1, 5e6)
+	e.SetStreamRate(0, rateA)
+	e.SetStreamRate(1, rateB)
 	e.Run(2 * vtime.Second) // prime: queues occupied, slots draining
 	return e, cfg.Tick, nil
 }
@@ -205,31 +212,53 @@ func benchUnitOf(e *engine.Engine, tick vtime.Duration) BenchUnit {
 // symmetric.
 const stepReps = 3
 
-// measureEngineStep fills rep.EngineStep with min-of-reps measurements
-// of the three fixed modes: both sharing modes at the requested batch
-// size, plus shared at batch=1 (the tuple-at-a-time reference the
-// batching speedup is quoted against).
-func measureEngineStep(rep *BenchReport, batch, reps int) error {
-	if reps < 1 {
-		reps = 1
+// bestOf measures one configuration on reps independently built,
+// freshly primed engines and keeps the fastest; pinned is the
+// PinTickWorkers value.
+func bestOf(reps int, shared, heavy bool, batch, pinned int) (BenchUnit, error) {
+	var best BenchUnit
+	for i := 0; i < max(reps, 1); i++ {
+		e, tick, err := stepBenchEngine(shared, heavy, batch)
+		if err != nil {
+			return best, err
+		}
+		e.PinTickWorkers(pinned)
+		if u := benchUnitOf(e, tick); i == 0 || u.NsPerOp < best.NsPerOp {
+			best = u
+		}
 	}
+	return best, nil
+}
+
+// measureEngineStep fills rep.EngineStep with the three fixed modes:
+// both sharing modes at the requested batch size, plus shared at
+// batch=1 (the tuple-at-a-time reference the batching speedup is
+// quoted against).
+func measureEngineStep(rep *BenchReport, batch, reps int) (err error) {
 	for _, mode := range []struct {
 		name   string
 		shared bool
 		batch  int
 	}{{"nonshared", false, batch}, {"shared", true, batch}, {"shared_batch1", true, 1}} {
-		var best BenchUnit
-		for i := 0; i < reps; i++ {
-			e, tick, err := stepBenchEngine(mode.shared, 0, mode.batch)
-			if err != nil {
+		if rep.EngineStep[mode.name], err = bestOf(reps, mode.shared, false, mode.batch, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// measureEngineRun fills rep.EngineRun, with the token budget raised
+// so the pinned-parallel arm gets its workers even on a 1-core host.
+func measureEngineRun(rep *BenchReport, batch, reps int) (err error) {
+	parallel.SetBudget(8)
+	defer parallel.SetBudget(-1)
+	pinned := map[string]int{"inline": 1, "parallel": 4, "auto": 0}
+	for _, fx := range []string{"micro", "heavy"} {
+		for _, arm := range []string{"inline", "parallel", "auto"} {
+			if rep.EngineRun[fx+"/"+arm], err = bestOf(reps, true, fx == "heavy", batch, pinned[arm]); err != nil {
 				return err
 			}
-			u := benchUnitOf(e, tick)
-			if i == 0 || u.NsPerOp < best.NsPerOp {
-				best = u
-			}
 		}
-		rep.EngineStep[mode.name] = best
 	}
 	return nil
 }
@@ -239,19 +268,8 @@ func measureEngineStep(rep *BenchReport, batch, reps int) error {
 // tables to io.Discard; on a single-core machine the two times are
 // expected to be close.
 func CollectBenchReport(sc Scale) (*BenchReport, error) {
-	batch := sc.Batch
-	if batch <= 0 {
-		batch = engine.DefaultConfig().BatchSize
-	}
-	rep := &BenchReport{
-		Schema:     "saspar-bench-v1",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    parallel.New(sc.Workers).NumWorkers(),
-		BatchSize:  batch,
-		EngineStep: map[string]BenchUnit{},
-	}
-
-	if err := measureEngineStep(rep, batch, stepReps); err != nil {
+	rep, err := CollectStepReport(sc, stepReps)
+	if err != nil {
 		return nil, err
 	}
 
@@ -274,22 +292,6 @@ func CollectBenchReport(sc Scale) (*BenchReport, error) {
 		return nil, err
 	}
 	rep.MigrationPauseSec = pause
-
-	// Intra-run sharding: same shared fixture, shards 1/2/4. Raise the
-	// process-wide token budget for the measurement so shard workers
-	// are granted even when the matrix pool would normally starve them,
-	// then restore the default.
-	rep.EngineRunSharded = map[string]BenchUnit{}
-	parallel.SetBudget(8)
-	for _, shards := range []int{1, 2, 4} {
-		e, tick, err := stepBenchEngine(true, shards, batch)
-		if err != nil {
-			parallel.SetBudget(-1)
-			return nil, err
-		}
-		rep.EngineRunSharded[fmt.Sprintf("shards%d", shards)] = benchUnitOf(e, tick)
-	}
-	parallel.SetBudget(-1)
 
 	seq := sc
 	seq.Workers = 1
@@ -319,13 +321,11 @@ func (r *BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// CollectStepReport measures only the engine_step entries — the cheap
-// subset the regression gate needs — taking the best of reps runs per
-// mode, the same min-of-N policy the committed snapshots use.
+// CollectStepReport measures only the engine_step and engine_run
+// entries — the cheap subset the regression gate needs — taking the
+// best of reps runs per mode, the same min-of-N policy the committed
+// snapshots use.
 func CollectStepReport(sc Scale, reps int) (*BenchReport, error) {
-	if reps < 1 {
-		reps = 1
-	}
 	batch := sc.Batch
 	if batch <= 0 {
 		batch = engine.DefaultConfig().BatchSize
@@ -333,11 +333,16 @@ func CollectStepReport(sc Scale, reps int) (*BenchReport, error) {
 	rep := &BenchReport{
 		Schema:     "saspar-bench-v1",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		Workers:    parallel.New(sc.Workers).NumWorkers(),
 		BatchSize:  batch,
 		EngineStep: map[string]BenchUnit{},
+		EngineRun:  map[string]BenchUnit{},
 	}
 	if err := measureEngineStep(rep, batch, reps); err != nil {
+		return nil, err
+	}
+	if err := measureEngineRun(rep, batch, reps); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -346,7 +351,9 @@ func CollectStepReport(sc Scale, reps int) (*BenchReport, error) {
 // CompareEngineStep checks the current report's engine_step cost
 // against a committed baseline: any mode present in both whose ns/op
 // regressed by more than tolPct percent fails the gate. Modes only one
-// side has (schema growth) are reported but never fail.
+// side has (schema growth) are reported but never fail. The engine's
+// worker sizing is gated within cur: each engine_run auto arm must be
+// within tolPct percent of the better pinned arm of its fixture.
 func CompareEngineStep(w io.Writer, cur, base *BenchReport, tolPct float64) error {
 	modes := make([]string, 0, len(base.EngineStep))
 	for name := range base.EngineStep {
@@ -375,8 +382,20 @@ func CompareEngineStep(w io.Writer, cur, base *BenchReport, tolPct float64) erro
 			fmt.Fprintf(w, "engine_step/%-14s now      %12.0f ns/op  (new mode; no baseline)\n", name, c.NsPerOp)
 		}
 	}
+	for _, fx := range []string{"micro", "heavy"} {
+		inline, par, auto := cur.EngineRun[fx+"/inline"].NsPerOp, cur.EngineRun[fx+"/parallel"].NsPerOp, cur.EngineRun[fx+"/auto"].NsPerOp
+		best := min(inline, par)
+		delta := 100 * (auto - best) / best
+		status := "ok"
+		if delta > tolPct {
+			status = "REGRESSION"
+			failed = append(failed, "engine_run/"+fx+"/auto")
+		}
+		fmt.Fprintf(w, "engine_run/%-15s inline %14.0f ns/op  parallel %8.0f ns/op  auto %8.0f ns/op  %+7.1f%% vs better  %s\n",
+			fx+"/auto", inline, par, auto, delta, status)
+	}
 	if len(failed) > 0 {
-		return fmt.Errorf("engine_step regression over %.0f%% in: %v", tolPct, failed)
+		return fmt.Errorf("regression over %.0f%% in: %v", tolPct, failed)
 	}
 	return nil
 }

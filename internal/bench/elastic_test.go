@@ -44,7 +44,7 @@ func TestElasticFlashCrowd(t *testing.T) {
 }
 
 // Two runs of the same cell must agree exactly — the byte-identical
-// contract the -workers/-shards knobs rely on.
+// contract the -workers knob and the engine's own tick workers rely on.
 func TestElasticDeterministic(t *testing.T) {
 	sc := Quick()
 	a, err := elasticCell(sc, true)

@@ -55,7 +55,7 @@ func TestMigrationStagedBeatsPause(t *testing.T) {
 }
 
 // Two runs of the same cell must agree exactly — the byte-identical
-// contract the -workers/-shards knobs rely on.
+// contract the -workers knob and the engine's own tick workers rely on.
 func TestMigrationDeterministic(t *testing.T) {
 	sc := Quick()
 	sc.DeterministicOpt = true

@@ -1,9 +1,9 @@
 // Package cliflags holds the execution-knob flag cluster every saspar
-// binary used to re-declare by hand: -shards, -batch, -workers and
-// -seed. The knobs are pure execution parameters — output is
-// byte-identical at any -shards/-batch value, -workers only sizes the
-// run-matrix pool — so their definitions, help strings and validation
-// belong in one place instead of six subcommand copies.
+// binary used to re-declare by hand: -batch, -workers and -seed. The
+// knobs are pure execution parameters — output is byte-identical at
+// any -batch value, -workers only sizes the run-matrix pool — so their
+// definitions, help strings and validation belong in one place instead
+// of six subcommand copies.
 package cliflags
 
 import (
@@ -17,9 +17,6 @@ import (
 // knobs a command uses on its FlagSet; Validate checks them all at
 // once with the same messages everywhere.
 type Common struct {
-	// Shards caps the engine's per-tick worker goroutines
-	// (0/1 = single-threaded ticks).
-	Shards int
 	// Batch is the generation block size (0 = engine default of 64,
 	// 1 = tuple-at-a-time).
 	Batch int
@@ -30,10 +27,9 @@ type Common struct {
 	Seed int64
 }
 
-// Register installs -shards and -batch, the knobs every engine-running
-// command shares.
+// Register installs -batch, the knob every engine-running command
+// shares.
 func (c *Common) Register(fs *flag.FlagSet) {
-	fs.IntVar(&c.Shards, "shards", 0, "per-run engine shard workers (0/1 = single-threaded ticks)")
 	fs.IntVar(&c.Batch, "batch", 0, "generation block size (0 = engine default of 64, 1 = tuple-at-a-time)")
 }
 
@@ -51,9 +47,6 @@ func (c *Common) RegisterWorkers(fs *flag.FlagSet) {
 // Validate checks every registered knob (unregistered ones hold their
 // valid zero values, so one check covers all commands).
 func (c *Common) Validate() error {
-	if c.Shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", c.Shards)
-	}
 	if c.Batch < 0 || c.Batch > 1<<16 {
 		return fmt.Errorf("-batch must be in [0, %d], got %d", 1<<16, c.Batch)
 	}
@@ -67,7 +60,6 @@ func (c *Common) Validate() error {
 // Seed is copied only when set (commands without RegisterSeed keep the
 // configuration's own default).
 func (c *Common) Apply(cfg *engine.Config) {
-	cfg.Shards = c.Shards
 	cfg.BatchSize = c.Batch
 	if c.Seed != 0 {
 		cfg.Seed = c.Seed

@@ -241,15 +241,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(testEngineConfig(), []engine.StreamDef{skewedStream()}, sameKeyQueries(1), bad); err == nil {
 		t.Fatal("TriggerInterval=0 accepted for enabled system")
 	}
-	// The engine-side shard knob is validated on the same construction
-	// path: a negative count must fail core.New, not be clamped.
-	badEng := testEngineConfig()
-	badEng.Shards = -1
-	if _, err := New(badEng, []engine.StreamDef{skewedStream()}, sameKeyQueries(1), fastCfg()); err == nil {
-		t.Fatal("Shards=-1 accepted through core.New")
-	} else if !strings.Contains(err.Error(), "shard count") {
-		t.Fatalf("Shards=-1 error %q does not name the shard knob", err)
-	}
 }
 
 func TestSystemRunRejectsNonPositiveDuration(t *testing.T) {

@@ -18,17 +18,12 @@ import (
 // Elastic scale-out/in joins the golden-trace determinism contract:
 // a run whose cluster grows and shrinks mid-flight — join decisions,
 // post-join rebalances, AQE-mediated drains, retirements — must still
-// produce a byte-identical fingerprint at any shard count and worker
-// budget. Elasticity touches every layer a shard race could corrupt
+// produce a byte-identical fingerprint in every workerGrid cell
+// (determinism_test.go). Elasticity touches every layer a worker race
+// could corrupt
 // (node admission order, lease movement, drain quiescence detection,
 // checkpoint-residual restores), so it gets its own scenario rather
 // than riding the static-cluster ones.
-
-// elasticDetGrid is the {1,4} shards × {0,4} budget matrix; the base
-// fingerprint is cut at shards=1 budget=0.
-var elasticDetGrid = []struct{ shards, budget int }{
-	{1, 0}, {4, 0}, {1, 4}, {4, 4},
-}
 
 // runElasticFingerprint replays the elastic schedule: a 6× flash crowd
 // for 12 virtual seconds (forcing joins and a rebalance onto the new
@@ -36,13 +31,12 @@ var elasticDetGrid = []struct{ shards, budget int }{
 // floor. withCrash additionally strikes a node late in the flash —
 // after the autoscaler has admitted capacity — with aligned-barrier
 // checkpoints armed, composing join, recovery and restore in one run.
-func runElasticFingerprint(t *testing.T, shards, budget int, withCrash bool) ([]byte, Report) {
+func runElasticFingerprint(t *testing.T, cell engine.WorkerCell, withCrash bool) ([]byte, Report) {
 	t.Helper()
-	parallel.SetBudget(budget)
+	parallel.SetBudget(cell.Budget)
 	defer parallel.SetBudget(-1)
 
 	engCfg := elasticEngineConfig()
-	engCfg.Shards = shards
 	engCfg.Seed = 42
 
 	cfg := elasticCoreConfig()
@@ -69,6 +63,7 @@ func runElasticFingerprint(t *testing.T, shards, budget int, withCrash bool) ([]
 		t.Fatal(err)
 	}
 	eng := s.Engine()
+	eng.PinTickWorkers(cell.Pinned)
 	eng.SetStreamRate(0, 60000) // 6 MB/s offered against 1 MiB/s NICs
 	if err := s.Run(12 * vtime.Second); err != nil {
 		t.Fatal(err)
@@ -100,7 +95,7 @@ func runElasticFingerprint(t *testing.T, shards, budget int, withCrash bool) ([]
 }
 
 func TestGoldenTraceDeterminismUnderElasticity(t *testing.T) {
-	base, rep := runElasticFingerprint(t, 1, 0, false)
+	base, rep := runElasticFingerprint(t, workerGrid[0], false)
 	// The schedule must actually exercise both directions, or the
 	// determinism claim is vacuous.
 	if rep.ElasticJoins == 0 {
@@ -109,32 +104,26 @@ func TestGoldenTraceDeterminismUnderElasticity(t *testing.T) {
 	if rep.ElasticDrains == 0 {
 		t.Fatal("elastic scenario never drained; the determinism test is vacuous")
 	}
-	for _, g := range elasticDetGrid[1:] {
-		got, _ := runElasticFingerprint(t, g.shards, g.budget, false)
-		if !bytes.Equal(base, got) {
-			t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-				g.shards, g.budget, diffLine(base, got))
-		}
-	}
+	assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+		got, _ := runElasticFingerprint(t, g, false)
+		return got
+	})
 }
 
 func TestGoldenTraceDeterminismUnderElasticityWithCrash(t *testing.T) {
 	// The composition scenario: a node crash strikes during the flash
 	// crowd while the autoscaler is admitting capacity and checkpoints
 	// run, so the fingerprint covers recovery preempting elasticity and
-	// the checkpoint-residual restore path under sharded execution.
-	base, rep := runElasticFingerprint(t, 1, 0, true)
+	// the checkpoint-residual restore path under parallel ticks.
+	base, rep := runElasticFingerprint(t, workerGrid[0], true)
 	if rep.FaultsInjected == 0 {
 		t.Fatal("crash never struck; the composition test is vacuous")
 	}
 	if rep.ElasticJoins == 0 {
 		t.Fatal("no join composed with the crash; the composition test is vacuous")
 	}
-	for _, g := range elasticDetGrid[1:] {
-		got, _ := runElasticFingerprint(t, g.shards, g.budget, true)
-		if !bytes.Equal(base, got) {
-			t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-				g.shards, g.budget, diffLine(base, got))
-		}
-	}
+	assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+		got, _ := runElasticFingerprint(t, g, true)
+		return got
+	})
 }

@@ -16,24 +16,21 @@ import (
 	"saspar/internal/vtime"
 )
 
-// This file is the tentpole's proof: intra-run sharding must be
-// unobservable. For every SPE profile, a fixed seed has to produce a
-// byte-identical run fingerprint — the JSON core.Report, the full
-// control-plane event trace, and the Prometheus metrics dump — at any
-// shard count and any parallel worker budget, including a composition
-// with a scripted node crash and aligned-barrier checkpointing. The
-// fingerprint covers every layer a shard race could corrupt: engine
-// metrics folds, optimizer inputs (sampled statistics), AQE phase
-// transitions, fault detection and restore accounting.
+// This file is the proof that intra-run parallelism is unobservable.
+// For every SPE profile, a fixed seed has to produce a byte-identical
+// run fingerprint — the JSON core.Report, the full control-plane event
+// trace, and the Prometheus metrics dump — at any tick worker count and
+// any parallel worker budget, including a composition with a scripted
+// node crash and aligned-barrier checkpointing. The fingerprint covers
+// every layer a worker race could corrupt: engine metrics folds,
+// optimizer inputs (sampled statistics), AQE phase transitions, fault
+// detection and restore accounting. That is also the licence for the
+// engine to size its workers from a wall-clock measurement.
 
-// detGrid is the shard × budget matrix every scenario is replayed
-// over. Budget 0 forces the sequential inline path even at shards=4
-// (the degradation every 1-core CI host exercises); budget 4 grants
-// real worker goroutines.
-var detGrid = []struct{ shards, budget int }{
-	{1, 0}, {2, 0}, {4, 0},
-	{1, 4}, {2, 4}, {4, 4},
-}
+// workerGrid is the pinned-workers × budget matrix every scenario in
+// this package is replayed over; cell 0 is the sequential reference the
+// others are compared with.
+var workerGrid = engine.WorkerGrid()
 
 // detWorkload is a deterministic two-stream mix: two identical keyed
 // aggregations (the sharing pair) plus a join, so the fingerprint
@@ -53,19 +50,18 @@ func detWorkload() ([]engine.StreamDef, []engine.QuerySpec) {
 	return streams, qs
 }
 
-// runFingerprint runs one scenario at the given shard count, parallel
-// budget and generation batch size (0 = engine default) and returns its
-// byte fingerprint. Every wall-clock cutoff is replaced by
+// runFingerprint runs one scenario under the given worker cell and
+// generation batch size (0 = engine default) and returns its byte
+// fingerprint. Every wall-clock cutoff is replaced by
 // deterministic node budgets so the optimizer's decisions cannot depend
 // on machine speed or concurrent load.
-func runFingerprint(t *testing.T, kind spe.Kind, shards, budget, batch int, withFaults bool) ([]byte, Report) {
+func runFingerprint(t *testing.T, kind spe.Kind, cell engine.WorkerCell, batch int, withFaults bool) ([]byte, Report) {
 	t.Helper()
-	parallel.SetBudget(budget)
+	parallel.SetBudget(cell.Budget)
 	defer parallel.SetBudget(-1)
 
 	engCfg := testEngineConfig()
 	engCfg.Profile = spe.Profile(kind)
-	engCfg.Shards = shards
 	engCfg.BatchSize = batch
 	engCfg.Seed = 42
 
@@ -90,6 +86,7 @@ func runFingerprint(t *testing.T, kind spe.Kind, shards, budget, batch int, with
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Engine().PinTickWorkers(cell.Pinned)
 	s.Engine().SetStreamRate(0, 20000)
 	s.Engine().SetStreamRate(1, 20000)
 
@@ -137,24 +134,32 @@ func diffLine(a, b []byte) string {
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
 
-func TestGoldenTraceDeterminismAcrossShards(t *testing.T) {
+// assertGridMatches replays run under every workerGrid cell but the
+// reference and fails on the first fingerprint that differs from base.
+func assertGridMatches(t *testing.T, base []byte, run func(engine.WorkerCell) []byte) {
+	t.Helper()
+	for _, g := range workerGrid[1:] {
+		if got := run(g); !bytes.Equal(base, got) {
+			t.Fatalf("%+v diverged from %+v at %s", g, workerGrid[0], diffLine(base, got))
+		}
+	}
+}
+
+func TestGoldenTraceDeterminismAcrossWorkers(t *testing.T) {
 	for _, kind := range spe.Kinds() {
 		kind := kind
 		t.Run(spe.SUT{Kind: kind, Saspar: true}.Name(), func(t *testing.T) {
-			base, rep := runFingerprint(t, kind, 1, 0, 0, false)
+			base, rep := runFingerprint(t, kind, workerGrid[0], 0, false)
 			if len(base) == 0 {
 				t.Fatal("empty fingerprint")
 			}
 			if rep.Throughput == 0 {
 				t.Fatal("scenario processed nothing; the determinism test is vacuous")
 			}
-			for _, g := range detGrid[1:] {
-				got, _ := runFingerprint(t, kind, g.shards, g.budget, 0, false)
-				if !bytes.Equal(base, got) {
-					t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-						g.shards, g.budget, diffLine(base, got))
-				}
-			}
+			assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+				got, _ := runFingerprint(t, kind, g, 0, false)
+				return got
+			})
 		})
 	}
 }
@@ -163,52 +168,57 @@ func TestGoldenTraceDeterminismUnderFaults(t *testing.T) {
 	// The composition scenario: a node crash strikes mid-measurement
 	// while aligned-barrier checkpoints run, so the fingerprint also
 	// covers marker alignment, checkpoint capture, evacuation and
-	// restore under sharded execution.
-	base, rep := runFingerprint(t, spe.Flink, 1, 0, 0, true)
+	// restore under parallel ticks.
+	base, rep := runFingerprint(t, spe.Flink, workerGrid[0], 0, true)
 	if rep.FaultsInjected == 0 {
 		t.Fatal("fault scenario never struck; the composition test is vacuous")
 	}
 	if rep.Checkpoints == 0 {
 		t.Fatal("no checkpoint completed; the composition test is vacuous")
 	}
-	for _, g := range detGrid[1:] {
-		got, _ := runFingerprint(t, spe.Flink, g.shards, g.budget, 0, true)
-		if !bytes.Equal(base, got) {
-			t.Fatalf("shards=%d budget=%d diverged from shards=1 budget=0 at %s",
-				g.shards, g.budget, diffLine(base, got))
-		}
-	}
+	assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+		got, _ := runFingerprint(t, spe.Flink, g, 0, true)
+		return got
+	})
 }
 
-// batchGrid is the batch × shard matrix the columnar data plane is
-// replayed over, against a batch=1 (strictly tuple-at-a-time) baseline.
-// Shards 4 runs with a real worker budget so batching composes with
-// parallel execution, not just with the inline path.
-var batchGrid = []struct{ batch, shards, budget int }{
-	{7, 1, 0}, {64, 1, 0},
-	{7, 4, 4}, {64, 4, 4},
-	{1, 4, 4}, // batching off, sharding on: isolates the axes
+// batchSizes are the generation block sizes the columnar data plane is
+// replayed at, each under every workerGrid cell so batching composes
+// with parallel execution and not just with the inline path. The
+// baseline is batch=1 (strictly tuple-at-a-time) on workerGrid[0].
+var batchSizes = []int{1, 7, 64}
+
+// eachBatchCell calls f for every (batch size, worker cell) pair except
+// the baseline itself.
+func eachBatchCell(f func(batch int, cell engine.WorkerCell)) {
+	for _, batch := range batchSizes {
+		for i, cell := range workerGrid {
+			if batch != 1 || i != 0 {
+				f(batch, cell)
+			}
+		}
+	}
 }
 
 func TestGoldenTraceDeterminismAcrossBatchSizes(t *testing.T) {
 	// The generation batch size is an execution blocking factor of the
 	// columnar data plane, never an observable: a block boundary may not
 	// change one byte of the report, trace or metrics dump at any batch
-	// size, under any sharding.
+	// size, at any worker count.
 	for _, kind := range spe.Kinds() {
 		kind := kind
 		t.Run(spe.SUT{Kind: kind, Saspar: true}.Name(), func(t *testing.T) {
-			base, rep := runFingerprint(t, kind, 1, 0, 1, false)
+			base, rep := runFingerprint(t, kind, workerGrid[0], 1, false)
 			if rep.Throughput == 0 {
 				t.Fatal("scenario processed nothing; the batch-axis test is vacuous")
 			}
-			for _, g := range batchGrid {
-				got, _ := runFingerprint(t, kind, g.shards, g.budget, g.batch, false)
+			eachBatchCell(func(batch int, g engine.WorkerCell) {
+				got, _ := runFingerprint(t, kind, g, batch, false)
 				if !bytes.Equal(base, got) {
-					t.Fatalf("batch=%d shards=%d budget=%d diverged from batch=1 shards=1 at %s",
-						g.batch, g.shards, g.budget, diffLine(base, got))
+					t.Fatalf("batch=%d %+v diverged from batch=1 %+v at %s",
+						batch, g, workerGrid[0], diffLine(base, got))
 				}
-			}
+			})
 		})
 	}
 }
@@ -217,15 +227,15 @@ func TestGoldenTraceDeterminismAcrossBatchSizesUnderFaults(t *testing.T) {
 	// Batching composed with the crash + checkpoint scenario: block
 	// boundaries may not shift marker alignment or crash-destruction
 	// accounting.
-	base, rep := runFingerprint(t, spe.Flink, 1, 0, 1, true)
+	base, rep := runFingerprint(t, spe.Flink, workerGrid[0], 1, true)
 	if rep.FaultsInjected == 0 || rep.Checkpoints == 0 {
 		t.Fatal("composition scenario vacuous")
 	}
-	for _, g := range batchGrid {
-		got, _ := runFingerprint(t, spe.Flink, g.shards, g.budget, g.batch, true)
+	eachBatchCell(func(batch int, g engine.WorkerCell) {
+		got, _ := runFingerprint(t, spe.Flink, g, batch, true)
 		if !bytes.Equal(base, got) {
-			t.Fatalf("batch=%d shards=%d budget=%d diverged from batch=1 shards=1 at %s",
-				g.batch, g.shards, g.budget, diffLine(base, got))
+			t.Fatalf("batch=%d %+v diverged from batch=1 %+v at %s",
+				batch, g, workerGrid[0], diffLine(base, got))
 		}
-	}
+	})
 }

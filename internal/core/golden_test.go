@@ -50,6 +50,9 @@ func checkGolden(t *testing.T, scenario string, fp []byte) {
 			arch = map[string]string{}
 			golden[runtime.GOARCH] = arch
 		}
+		if arch[scenario] == got {
+			return // every grid cell lands here; write the file once
+		}
 		arch[scenario] = got
 		b, err := json.MarshalIndent(golden, "", "  ")
 		if err != nil {

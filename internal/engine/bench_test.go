@@ -87,26 +87,41 @@ func benchQueries(n int) []QuerySpec {
 	return qs
 }
 
-func benchEngine(b *testing.B, shared bool, queries int) *Engine {
-	return benchEngineSharded(b, shared, queries, 0)
+// benchFixture sizes the bench engine's tick. micro is the historical
+// fixture: weight 500 in counting mode, ~5 k concrete rows per
+// ~50–120 µs tick, too small to pay for fork/join. heavy is the shape
+// `sasparctl serve` runs: weight 1 with exact windows, 20 k concrete
+// rows per ms-scale tick.
+type benchFixture struct {
+	weight, rateA, rateB float64
+	exact                bool
 }
 
-func benchEngineSharded(b *testing.B, shared bool, queries, shards int) *Engine {
+var (
+	microFixture = benchFixture{weight: 500, rateA: 20e6, rateB: 5e6}
+	heavyFixture = benchFixture{weight: 1, rateA: 160e3, rateB: 40e3, exact: true}
+)
+
+func benchEngine(b *testing.B, shared bool, queries int) *Engine {
+	return benchEngineAt(b, shared, queries, microFixture)
+}
+
+func benchEngineAt(b *testing.B, shared bool, queries int, fx benchFixture) *Engine {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.Nodes = 4
 	cfg.NumPartitions = 8
 	cfg.NumGroups = 32
 	cfg.SourceTasks = 4
-	cfg.TupleWeight = 500
+	cfg.TupleWeight = fx.weight
+	cfg.ExactWindows = fx.exact
 	cfg.Shared = shared
-	cfg.Shards = shards
 	e, err := New(cfg, benchStreams(), benchQueries(queries))
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.SetStreamRate(0, 20e6)
-	e.SetStreamRate(1, 5e6)
+	e.SetStreamRate(0, fx.rateA)
+	e.SetStreamRate(1, fx.rateB)
 	// Prime the pipeline so steady-state ticks (queues occupied, slots
 	// draining) are what gets measured.
 	e.Run(2 * vtime.Second)
@@ -132,28 +147,38 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // BenchmarkEngineRun measures whole steady-state ticks through the
-// public Run API at several shard counts. The process-wide parallel
-// token budget is raised so shard workers are actually granted even on
-// small CI hosts (the default budget is GOMAXPROCS-1 extras), then
-// restored. The determinism suite asserts output is byte-identical
-// across shard counts; this benchmark shows what the knob buys in wall
-// clock — expect ≥2× at shards4 on a 4+ core machine, and no change
-// (shards clamp to one worker) on a single-core one.
+// public Run API on both sides of the engine's worker-sizing rule: the
+// micro fixture, whose tick is too small to pay for fork/join, and the
+// heavy one, whose tick is not — each pinned inline, pinned to real
+// worker goroutines, and left to the automatic rule, which should
+// track the better pinned arm on both. The budget is raised so the
+// pinned arm is granted its workers even on a 1-core host. The
+// determinism suite asserts output is byte-identical across the arms.
 func BenchmarkEngineRun(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			parallel.SetBudget(8)
-			defer parallel.SetBudget(-1)
-			e := benchEngineSharded(b, true, 6, shards)
-			tick := e.cfg.Tick
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.Run(tick); err != nil {
-					b.Fatal(err)
+	for _, fx := range []struct {
+		name string
+		benchFixture
+	}{{"micro", microFixture}, {"heavy", heavyFixture}} {
+		for _, arm := range []struct {
+			name   string
+			pinned int
+		}{{"inline", 1}, {"parallel", 4}, {"auto", 0}} {
+			b.Run(fx.name+"/"+arm.name, func(b *testing.B) {
+				parallel.SetBudget(8)
+				defer parallel.SetBudget(-1)
+				e := benchEngineAt(b, true, 6, fx.benchFixture)
+				e.PinTickWorkers(arm.pinned)
+				tick := e.cfg.Tick
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := e.Run(tick); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				b.ReportMetric(float64(e.TickStats().Workers), "workers")
+			})
+		}
 	}
 }
 

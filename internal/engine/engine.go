@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"saspar/internal/cluster"
 	"saspar/internal/keyspace"
@@ -20,9 +21,9 @@ import (
 // Externally the engine behaves single-threaded: all entry points are
 // called from one goroutine, and determinism is what makes the AQE
 // correctness tests and the figure reproductions exact. Internally each
-// tick may fan per-node work over cfg.Shards workers — see shard.go for
-// the phase pipeline and why the shard count cannot change one output
-// bit.
+// tick may fan per-node work over worker goroutines — see shard.go for
+// the phase pipeline, how the engine sizes the workers itself, and why
+// their number cannot change one output bit.
 type Engine struct {
 	cfg     Config
 	streams []StreamDef
@@ -38,10 +39,12 @@ type Engine struct {
 	slots []*slot
 	nodes []*nodeRun // per-node execution state (slots, tasks, pools)
 
-	// shardWorkers is the configured per-tick worker cap (cfg.Shards,
-	// min 1); the effective count is resolved per tick against the node
-	// count and the process-wide parallel budget.
-	shardWorkers int
+	// Per-tick worker sizing (see acquireWorkers): the smoothed cost of
+	// the parallel phases the engine observes on itself, the test-only
+	// pin that overrides it, and what the ticks actually ran at.
+	phaseCost     time.Duration
+	pinnedWorkers int
+	tickStats     TickStats
 
 	// markersInFlight counts marker entries injected but not yet
 	// consumed (or destroyed). While nonzero, counting-mode slot phases
@@ -177,10 +180,6 @@ func New(cfg Config, streams []StreamDef, queries []QuerySpec) (*Engine, error) 
 
 	// Per-node execution state: slots and tasks grouped by owning node
 	// (ascending id within each node), plus the per-node entry pools.
-	e.shardWorkers = cfg.Shards
-	if e.shardWorkers < 1 {
-		e.shardWorkers = 1
-	}
 	e.nodes = make([]*nodeRun, cfg.Nodes)
 	for n := range e.nodes {
 		e.nodes[n] = &nodeRun{id: cluster.NodeID(n), provIn: make([]float64, cfg.Nodes)}
@@ -438,10 +437,11 @@ func (e *Engine) step() {
 	if e.tickTurbulent() {
 		slotWorkers = 1 // counting-mode reconfig window: see shard.go
 	}
+	start := time.Now()
 	e.runPhase(slotWorkers, phaseSlots, off, dt)
 	e.foldSlotPhase(off)
 	e.runPhase(workers, phaseRouters, off, dt)
-	e.releaseWorkers(workers)
+	e.releaseWorkers(workers, time.Since(start))
 	e.routerMerge(boundary)
 
 	if e.obs != nil {

@@ -22,8 +22,8 @@ import (
 // Reads fold the partials in node-ID order, so every reported number is
 // a fixed-order float sum regardless of how many shard workers executed
 // the tick — the foundation of the engine's byte-identical-at-any-
-// shard-count contract. Nodes are the partition unit (not shards)
-// precisely so the fold order cannot depend on the shard knob.
+// worker-count contract. Nodes are the partition unit (not workers)
+// precisely so the fold order cannot depend on the worker count.
 type Metrics struct {
 	parts []metricsPart // one per cluster node, folded in index order
 

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"saspar/internal/cluster"
 	"saspar/internal/keyspace"
@@ -38,10 +40,11 @@ import (
 // parallel phases touch only state owned by one cluster node (slots,
 // router tasks, CPU meter, entry pool, metrics partial) plus per-slot
 // staging buffers, and every cross-node effect is applied at a barrier
-// in an order derived from node/slot/task IDs. The shard count (and
-// the number of goroutines that actually run) therefore cannot change
-// a single output bit — which is what lets the run matrix and the
-// intra-run shards share one process-wide worker budget safely.
+// in an order derived from node/slot/task IDs. The number of
+// goroutines that actually run therefore cannot change a single output
+// bit — which is what lets the engine size its own workers from a
+// wall-clock measurement (acquireWorkers), and the run matrix and the
+// tick workers share one process-wide worker budget safely.
 //
 // One carve-out keeps counting mode sound: while routing is being
 // changed — markers in flight or moved state outstanding — two slots
@@ -206,42 +209,91 @@ func (e *Engine) tickTurbulent() bool {
 	return e.markersInFlight > 0 || e.outstandingState != 0
 }
 
-// acquireWorkers resolves this tick's worker count: the configured
-// shard cap, clamped to the node count, then to the process-wide
-// parallel budget so matrix workers × intra-run shards cannot
-// oversubscribe the host. Safe to clamp arbitrarily — results are
-// worker-count invariant.
+// forkJoinCost is the smoothed wall-clock cost of a tick's phases above
+// which the engine fans them over worker goroutines. Measured on the
+// 2-core reference box (BENCH_pr14.json engine_run and a tick-size
+// sweep of its fixtures): two fork/joins cost 20–30 µs and 8–12
+// allocations, so the 45–120 µs weight-500 micro tick runs 25–50 %
+// slower on two workers and its 180–230 µs batch=1 variant 6–28 %;
+// exact-window ticks tie at ≈ 300 µs, win 10–15 % at 400–500 µs and
+// take 0.55–0.6× the time from 5 ms up, where `sasparctl serve` runs.
+const forkJoinCost = 300 * time.Microsecond
+
+// TickStats reports how the ticks actually ran. Wall-clock dependent,
+// so it stays out of everything the determinism fingerprint covers.
+type TickStats struct {
+	Ticks         int64 // ticks stepped
+	ParallelTicks int64 // ticks that ran on more than one worker
+	Workers       int   // worker count of the most recent tick
+}
+
+// TickStats returns the tick execution counters.
+func (e *Engine) TickStats() TickStats { return e.tickStats }
+
+// PinTickWorkers is a test hook: it replaces the engine's own sizing
+// with a fixed want of n workers (still clamped to live nodes and the
+// budget) so suites and benchmarks can force goroutines onto ticks too
+// small to earn them; 0 restores the rule. Nothing under cmd/ calls it.
+func (e *Engine) PinTickWorkers(n int) { e.pinnedWorkers = n }
+
+// WorkerCell is a PinTickWorkers value and a parallel.SetBudget budget.
+type WorkerCell struct{ Pinned, Budget int }
+
+// WorkerGrid is the one grid the worker-count-invariance suites replay
+// over, sequential reference first: pinned 4 without budget degrades to
+// inline, pinned 2 and 4 with budget run real goroutines, and unpinned
+// puts the rule itself under the byte-identity check.
+func WorkerGrid() []WorkerCell {
+	return []WorkerCell{{1, 0}, {4, 0}, {2, 4}, {4, 4}, {0, 4}}
+}
+
+// acquireWorkers resolves this tick's worker count. Ticks whose phases
+// have been costing less than forkJoinCost run inline without touching
+// the budget; the rest want one worker per core, at most one per live
+// node (dead ones have no phase work — see phaseNode), drawn from the
+// process-wide budget so matrix workers × tick workers cannot
+// oversubscribe the host. The cost is whatever the wall clock showed,
+// inline or not: a tick that drops below the constant only because it
+// went parallel (inline cost under ~2× it) alternates between the two,
+// in the band where they tie. Safe to size from a wall clock and to
+// clamp arbitrarily — results are worker-count invariant.
 func (e *Engine) acquireWorkers() int {
-	want := e.shardWorkers
-	if want > len(e.nodes) {
-		want = len(e.nodes)
+	want := e.pinnedWorkers
+	if want == 0 {
+		if e.phaseCost < forkJoinCost {
+			return 1
+		}
+		want = runtime.GOMAXPROCS(0)
 	}
-	if want <= 1 {
+	if want = min(want, e.LiveNodes()); want <= 1 {
 		return 1
 	}
 	return 1 + parallel.AcquireTokens(want-1)
 }
 
-func (e *Engine) releaseWorkers(w int) {
+// releaseWorkers returns the tick's tokens and records what its phases
+// cost on the wall clock and what they ran at.
+func (e *Engine) releaseWorkers(w int, cost time.Duration) {
 	if w > 1 {
 		parallel.ReleaseTokens(w - 1)
+		e.tickStats.ParallelTicks++
 	}
+	e.tickStats.Ticks++
+	e.tickStats.Workers = w
+	e.phaseCost += (cost - e.phaseCost) / 4
 }
 
 // runPhase executes one parallel phase over every node. With one
 // worker it runs inline on the calling goroutine in node-ID order —
-// the allocation-free path the shards=1 benchmarks gate. With more,
+// the allocation-free path the engine_step benchmarks gate. With more,
 // workers claim nodes from an atomic counter; the claim order is
 // irrelevant to results.
 func (e *Engine) runPhase(workers, kind, off int, dt vtime.Duration) {
-	if workers <= 1 || len(e.nodes) == 1 {
+	if workers <= 1 {
 		for _, nr := range e.nodes {
 			e.phaseNode(kind, nr, off, dt)
 		}
 		return
-	}
-	if workers > len(e.nodes) {
-		workers = len(e.nodes)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"saspar/internal/keyspace"
@@ -9,27 +10,36 @@ import (
 )
 
 // TestShardedChurnStress drives the sharded step through every
-// concurrent mutation source at once: many ticks at shards=4 with real
-// worker goroutines granted (the budget is raised explicitly, so the
-// parallel phases run parallel even on a 1-core CI host), live
-// re-partitionings, a node crash and revival mid-churn, and checkpoint
-// barrier churn interleaved with the reconfiguration markers. The
+// concurrent mutation source at once, under every cell of WorkerGrid
+// (the pinned cells with budget grant real worker goroutines, so the
+// parallel phases run parallel even on a 1-core CI host and on ticks
+// this small): many ticks, live re-partitionings, a node crash and
+// revival mid-churn, and checkpoint barrier churn interleaved with the
+// reconfiguration markers. The
 // assertions are liveness only — epochs drain, checkpoints complete,
 // results keep flowing — because byte-level correctness is enforced by
 // the determinism suite in internal/core; this test's job is giving
 // the race detector coverage of the slot/router phases (scripts/ci.sh
 // runs this package under -race).
 func TestShardedChurnStress(t *testing.T) {
-	parallel.SetBudget(8)
+	for _, cell := range WorkerGrid() {
+		t.Run(fmt.Sprintf("pinned%d-budget%d", cell.Pinned, cell.Budget), func(t *testing.T) {
+			churnStress(t, cell)
+		})
+	}
+}
+
+func churnStress(t *testing.T, cell WorkerCell) {
+	parallel.SetBudget(cell.Budget)
 	defer parallel.SetBudget(-1)
 
 	cfg := lightConfig()
-	cfg.Shards = 4
 	e, err := New(cfg, []StreamDef{testStream("s", 16)},
 		[]QuerySpec{aggQuery("a", 0), aggQuery("b", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.PinTickWorkers(cell.Pinned)
 	e.SetStreamRate(0, 2000)
 
 	ckptID := int64(1)
@@ -76,5 +86,8 @@ func TestShardedChurnStress(t *testing.T) {
 	}
 	if len(e.Results(0)) == 0 {
 		t.Fatal("churned engine emitted no results")
+	}
+	if st := e.TickStats(); cell.Pinned > 1 && cell.Budget > 0 && st.ParallelTicks == 0 {
+		t.Fatalf("pinned %d workers with budget %d ran no parallel tick: %+v", cell.Pinned, cell.Budget, st)
 	}
 }

@@ -186,13 +186,6 @@ type Config struct {
 	// correctness tests at small scale.
 	ExactWindows bool
 
-	// Shards caps the worker goroutines one engine run uses per tick to
-	// parallelize per-node work (see shard.go). 0 and 1 both mean
-	// single-threaded; higher values are further clamped to the node
-	// count and to the process-wide parallel budget. Output is
-	// byte-identical at every value — the knob trades wall clock only.
-	Shards int
-
 	Seed int64
 }
 
@@ -248,9 +241,6 @@ func (c Config) Validate() error {
 	}
 	if c.FlowContentionCoeff < 0 {
 		return fmt.Errorf("engine: flow contention coefficient must be non-negative, got %v", c.FlowContentionCoeff)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("engine: shard count must be non-negative (0 means single-threaded), got %d", c.Shards)
 	}
 	if c.BatchSize < 0 || c.BatchSize > 1<<16 {
 		return fmt.Errorf("engine: batch size must be in [0, %d] (0 means the default of 64), got %d", 1<<16, c.BatchSize)

@@ -22,7 +22,6 @@ func TestConfigValidateErrors(t *testing.T) {
 		{"tick", func(c *Config) { c.Tick = 0 }, "tick"},
 		{"watermark-lag", func(c *Config) { c.WatermarkLag = -1 }, "watermark"},
 		{"flow-contention", func(c *Config) { c.FlowContentionCoeff = -0.1 }, "contention"},
-		{"shards", func(c *Config) { c.Shards = -1 }, "shard count"},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig()
@@ -45,15 +44,6 @@ func TestConfigValidateErrors(t *testing.T) {
 func TestConfigValidateAcceptsDefaults(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
-	}
-	// 0 (unset) and any positive shard count are both legal; the clamp
-	// to node count and budget happens at run time.
-	for _, n := range []int{0, 1, 4, 64} {
-		cfg := DefaultConfig()
-		cfg.Shards = n
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("shards=%d rejected: %v", n, err)
-		}
 	}
 }
 

@@ -66,12 +66,12 @@ func Workers() int {
 }
 
 // The process-wide worker-token budget. Two parallelism layers draw
-// from it — the run-matrix pools below and the engine's intra-run
-// shard phases (internal/engine, shard.go) — so matrix workers times
-// shards per run can never oversubscribe the host. Every consumer owns
-// one implicit token for its calling goroutine and acquires only the
-// extras, which makes the grant advisory: a zero grant degrades to
-// sequential execution, never deadlock. Results are unaffected by
+// from it — the run-matrix pools below and the engine's per-tick
+// phase workers (internal/engine, shard.go) — so matrix workers times
+// tick workers per run can never oversubscribe the host. Every
+// consumer owns one implicit token for its calling goroutine and
+// acquires only the extras, which makes the grant advisory: a zero
+// grant degrades to sequential execution, never deadlock. Results are unaffected by
 // construction — both layers are worker-count invariant.
 var (
 	budgetMu  sync.Mutex

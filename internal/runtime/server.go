@@ -324,16 +324,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	defer q.ReleaseProducer()
 
+	// A block this goroutine cannot publish is left to the garbage
+	// collector, never pushed onto the free ring: that ring's producer
+	// side is the engine's (BlockQueue.Release), and two pushers race.
 	var scratch []byte
 	for {
 		b := q.Get()
 		rows, err := ReadFrame(conn, b, h.Cols, &scratch)
 		if err != nil {
-			q.Release(b) // back to the free ring, not lost
 			return
 		}
 		if rows == 0 {
-			q.Release(b)
 			continue
 		}
 		for !q.Offer(b) {
@@ -341,7 +342,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			// the backpressure to the producer.
 			select {
 			case <-s.stop:
-				q.Release(b) // back to the free ring, not leaked
 				return
 			default:
 				time.Sleep(100 * time.Microsecond)
@@ -402,8 +402,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := 0; !q.Offer(b); i++ {
 		if i >= 50 {
-			q.Release(b)
-			s.cRefused.Inc()
+			s.cRefused.Inc() // b is dropped, not released: see serveConn
 			http.Error(w, "ingest ring full", http.StatusServiceUnavailable)
 			return
 		}
@@ -430,8 +429,9 @@ type QueryReport struct {
 }
 
 // Report is the serving report: wall-clock uptime, how far the virtual
-// clock got, ingest totals from the ring counters, and per-query
-// result counts.
+// clock got, ingest totals from the ring counters, per-query result
+// counts, and how the engine's ticks ran (engine.TickStats: host
+// dependent, hence here and not in core.Report or the registry).
 type Report struct {
 	UptimeSec    float64       `json:"uptime_sec"`
 	VirtualTime  string        `json:"virtual_time"`
@@ -444,6 +444,10 @@ type Report struct {
 	Triggers     int           `json:"optimizer_triggers"`
 	Applied      int           `json:"plans_applied"`
 	Queries      []QueryReport `json:"queries"`
+
+	// Ticks that ran on more than one worker; workers of the latest tick.
+	ParallelTicks int64 `json:"parallel_ticks"`
+	TickWorkers   int   `json:"tick_workers"`
 }
 
 // Report snapshots the serving state; safe while the server runs.
@@ -474,6 +478,8 @@ func (s *Server) Report() Report {
 	snap := s.sys.Snapshot()
 	rep.Triggers = snap.Triggers
 	rep.Applied = snap.Applied
+	ts := eng.TickStats()
+	rep.ParallelTicks, rep.TickWorkers = ts.ParallelTicks, ts.Workers
 	for qi := 0; qi < eng.NumQueries(); qi++ {
 		rep.Queries = append(rep.Queries, QueryReport{
 			ID:      eng.QuerySpecOf(qi).ID,

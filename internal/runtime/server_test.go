@@ -3,11 +3,14 @@ package runtime
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"testing"
 	"time"
 
 	"saspar/internal/engine"
+	"saspar/internal/parallel"
 	"saspar/internal/vtime"
 	"saspar/internal/workload"
 )
@@ -51,6 +54,17 @@ func (g *eqSrc) NextBlock(b *engine.TupleBlock, from, to int) {
 
 func testServer(t *testing.T, tasks int) *Server {
 	t.Helper()
+	srv := newTestServer(t, tasks)
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// newTestServer builds the test server without starting it, for tests
+// that must touch the engine before the serve loop owns it.
+func newTestServer(t *testing.T, tasks int) *Server {
+	t.Helper()
 	engCfg := engine.DefaultConfig()
 	engCfg.Nodes = 2
 	engCfg.NumPartitions = 4
@@ -67,9 +81,6 @@ func testServer(t *testing.T, tasks int) *Server {
 		BlockRows:  512,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	return srv
@@ -133,6 +144,101 @@ func TestServeBlastLoopback(t *testing.T) {
 	}
 	if rep.IngestBlocks == 0 {
 		t.Fatal("ingest block counter never moved")
+	}
+}
+
+// sendFrames streams frames×rows rows of def's task source to the ring
+// (stream 0, task) over the binary protocol and returns Σ column 2.
+func sendFrames(addr string, def engine.StreamDef, task, frames, rows int) (sum float64, err error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return 0, err
+	}
+	defer conn.Close()
+	if err := WriteHeader(conn, Header{Stream: 0, Task: task, Cols: def.NumCols}); err != nil {
+		return 0, err
+	}
+	src := def.NewSource(task)
+	var blk engine.TupleBlock
+	var scratch []byte
+	blk.Resize(rows, def.NumCols)
+	for f := 0; f < frames; f++ {
+		src.NextBlock(&blk, 0, rows)
+		for _, v := range blk.Col[2] {
+			sum += float64(v)
+		}
+		if err := WriteFrame(conn, &blk, def.NumCols, &scratch); err != nil {
+			return 0, err
+		}
+	}
+	return sum, nil
+}
+
+// TestServeConservationUnderParallelTicks extends the worker-count
+// contract to the wall-clock path, which the determinism suite in
+// internal/core does not reach: with ticks fanned over worker
+// goroutines the consumer side of each SPSC ingest ring migrates
+// between goroutines tick to tick, and every row must still be counted
+// exactly once. A fixed row set is served over loopback in exact mode
+// with the tick pinned inline and pinned parallel, and both must
+// conserve rows and sums. scripts/ci.sh runs this package under -race.
+func TestServeConservationUnderParallelTicks(t *testing.T) {
+	parallel.SetBudget(4) // grant the pinned workers even on a 1-core host
+	defer parallel.SetBudget(-1)
+
+	const tasks, frames, frameRows = 2, 48, 512
+	def := serveWorkload().Streams[0]
+	for _, pinned := range []int{1, 2} {
+		t.Run(fmt.Sprintf("pinned%d", pinned), func(t *testing.T) {
+			srv := newTestServer(t, tasks)
+			srv.System().Engine().PinTickWorkers(pinned)
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Stop()
+
+			sums := make([]float64, tasks)
+			errs := make(chan error, tasks)
+			for task := 0; task < tasks; task++ {
+				go func(task int) {
+					var err error
+					sums[task], err = sendFrames(srv.Addr(), def, task, frames, frameRows)
+					errs <- err
+				}(task)
+			}
+			for task := 0; task < tasks; task++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			const sent = tasks * frames * frameRows
+			wantSum := sums[0] + sums[1]
+
+			waitIngested(t, srv, sent)
+			// Windows close as idle ticks carry virtual time past them.
+			var weight, sum float64
+			for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				weight, sum = 0, 0
+				srv.mu.Lock()
+				for _, r := range srv.System().Engine().Results(0) {
+					weight += r.Weight
+					sum += r.Sum
+				}
+				srv.mu.Unlock()
+				if weight >= sent || time.Now().After(deadline) {
+					break
+				}
+			}
+			rep := srv.Report()
+			if rep.IngestedRows != sent || weight != sent || sum != wantSum || rep.Refused != 0 {
+				t.Fatalf("sent %d rows summing %g: engine generated %d, results weigh %g and sum %g, %g refused",
+					sent, wantSum, rep.IngestedRows, weight, sum, rep.Refused)
+			}
+			if (rep.ParallelTicks > 0) != (pinned > 1) {
+				t.Fatalf("pinned %d workers, report says %d parallel ticks (latest on %d workers)",
+					pinned, rep.ParallelTicks, rep.TickWorkers)
+			}
+		})
 	}
 }
 

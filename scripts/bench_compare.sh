@@ -8,6 +8,12 @@
 # fails. Modes the baseline predates are reported but never fail, so
 # schema growth does not break older baselines.
 #
+# Also re-measures engine_run — {inline, parallel, auto} × {micro,
+# heavy} — and fails if the engine's own worker sizing (auto) is more
+# than the same tolerance behind the better pinned arm on either
+# fixture. That comparison is within this run, not against the
+# baseline. Run at the default GOMAXPROCS.
+#
 # Usage: scripts/bench_compare.sh [baseline.json]
 set -eu
 cd "$(dirname "$0")/.."

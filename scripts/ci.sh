@@ -16,14 +16,17 @@
 #                      inside pooled harness cells and whose delta
 #                      chains staged migration pre-ships, the sharded
 #                      engine step (internal/engine, internal/core):
-#                      their suites raise the parallel budget so the
-#                      slot/router phases really run on goroutines
+#                      their suites pin tick workers and raise the
+#                      parallel budget so the slot/router phases
+#                      really run on goroutines
 #                      (TestShardedChurnStress, the determinism grid —
 #                      including the migration-mode axis and the
 #                      mid-stage crash matrix),
 #                      the serving runtime (internal/runtime) whose
 #                      SPSC ingest rings are exactly the kind of
 #                      lock-free code the race detector exists for,
+#                      and whose consumer side migrates between tick
+#                      workers (TestServeConservationUnderParallelTicks),
 #                      and the elastic autoscaling policy
 #                      (internal/elastic) whose decisions the pooled
 #                      determinism grid replays under sharded execution
@@ -97,7 +100,7 @@ if ! echo "$blast_out" | grep -q '"ingested_rows":65536'; then
     exit 1
 fi
 
-echo "== bench compare (engine_step regression gate)"
+echo "== bench compare (engine_step regression gate, engine_run auto-vs-pinned gate)"
 scripts/bench_compare.sh
 
 echo "CI OK"
