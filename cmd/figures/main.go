@@ -24,11 +24,12 @@
 // any value. -bench-json measures a performance
 // snapshot — engine tick cost and sequential-vs-parallel RunAll wall
 // clock — and writes it to FILE instead of running figures.
-// -bench-compare re-measures only engine_step and engine_run (best of
-// three) and fails if an engine_step mode regressed more than
-// -bench-tolerance percent against the committed baseline FILE, or an
-// engine_run auto arm is that far behind the better pinned arm of its
-// fixture; scripts/bench_compare.sh is the CI entry point.
+// -bench-compare re-measures only engine_step, engine_run and mip_solve
+// (best of three) and fails if an engine_step mode or mip_solve
+// regressed more than -bench-tolerance percent against the committed
+// baseline FILE, or an engine_run auto arm is that far behind the better
+// pinned arm of its fixture; scripts/bench_compare.sh is the CI entry
+// point.
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 	full := flag.Bool("full", false, "run at paper scale (slow)")
 	fig := flag.String("fig", "", "run a single figure (6,7,8,9,10,11,12a,12b,13,ml,recovery,ckpt-recovery,greedy,elastic,migration)")
 	benchJSON := flag.String("bench-json", "", "write a performance snapshot to this file and exit")
-	benchCompare := flag.String("bench-compare", "", "compare current engine_step cost against this committed BENCH_*.json, and engine_run auto against its pinned arms, and exit non-zero on regression")
+	benchCompare := flag.String("bench-compare", "", "compare current engine_step and mip_solve cost against this committed BENCH_*.json, and engine_run auto against its pinned arms, and exit non-zero on regression")
 	benchTol := flag.Float64("bench-tolerance", 25, "ns/op regression tolerance for -bench-compare, percent")
 	cf.Register(flag.CommandLine)
 	cf.RegisterWorkers(flag.CommandLine)

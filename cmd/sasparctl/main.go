@@ -207,7 +207,8 @@ func serveCmd(args []string) {
 		rep.IngestedRows, rep.UptimeSec, rep.RowsPerSec/1e6, rep.VirtualTime)
 	fmt.Printf("ingest       %0.f blocks, %.0f bounced off full rings, %.0f recycled\n",
 		rep.IngestBlocks, rep.RingFull, rep.Recycled)
-	fmt.Printf("optimizer    %d triggers, %d plans applied\n", rep.Triggers, rep.Applied)
+	fmt.Printf("optimizer    %d triggers, %d plans applied, %d stale, last solve %.0f ms\n",
+		rep.Triggers, rep.Applied, rep.StalePlans, rep.LastSolveMs)
 	for _, q := range rep.Queries {
 		fmt.Printf("query        %-20s %d results\n", q.ID, q.Results)
 	}

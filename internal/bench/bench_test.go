@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"saspar/internal/engine"
+	"saspar/internal/mip"
 	"saspar/internal/vtime"
 )
 
@@ -277,5 +278,19 @@ func TestBlockGenMatchesNext(t *testing.T) {
 	}
 	if bulk.i != row.i {
 		t.Fatalf("cursor drift: NextBlock %d, Next %d", bulk.i, row.i)
+	}
+}
+
+// TestMipSolveFixtureRunsIntoCap: the ledger's mip_solve entry divides
+// time by explored nodes, so the fixture must end at its node cap —
+// never early on a proven optimum, which would time set-up instead.
+func TestMipSolveFixtureRunsIntoCap(t *testing.T) {
+	in, opt := mipSolveFixture()
+	res, err := mip.Solve(in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != mip.Budget || res.Nodes <= opt.MaxNodes {
+		t.Fatalf("fixture ended %v after %d nodes, want the %d-node cap", res.Status, res.Nodes, opt.MaxNodes)
 	}
 }

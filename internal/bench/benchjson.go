@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"saspar/internal/engine"
+	"saspar/internal/mip"
 	"saspar/internal/parallel"
 	"saspar/internal/vtime"
 )
@@ -32,6 +33,15 @@ type BenchUnit struct {
 	// numbers imply — the headline figure of the columnar hot path.
 	TuplesPerOp   float64 `json:"tuples_per_op,omitempty"`
 	MtuplesPerSec float64 `json:"mtuples_per_sec,omitempty"`
+}
+
+// MipSolveUnit is the cost of one branch-and-bound solve that runs into
+// its node cap: time per explored node, and allocations per solve —
+// which count the solver's set-up and must not grow with the cap.
+type MipSolveUnit struct {
+	NsPerNode      float64 `json:"ns_per_node"`
+	AllocsPerSolve int64   `json:"allocs_per_solve"`
+	Nodes          int64   `json:"nodes"`
 }
 
 // BenchReport is the emitted document.
@@ -58,6 +68,11 @@ type BenchReport struct {
 	// to the rule, which the gate holds to the better pinned arm. Absent
 	// before PR 14 (engine_run_sharded, a shards 1/2/4 knob, instead).
 	EngineRun map[string]BenchUnit `json:"engine_run,omitempty"`
+
+	// MipSolve is mip.Solve on the serving shape — 1 class × 32 key
+	// groups × 8 partitions, anchored, capped at 50 000 nodes and by no
+	// clock (mipSolveFixture). Absent before PR 16.
+	MipSolve *MipSolveUnit `json:"mip_solve,omitempty"`
 
 	RunAllSequentialSec float64 `json:"runall_sequential_seconds"`
 	RunAllParallelSec   float64 `json:"runall_parallel_seconds"`
@@ -263,6 +278,60 @@ func measureEngineRun(rep *BenchReport, batch, reps int) (err error) {
 	return nil
 }
 
+// mipSolveFixture is the instance the serving benchmark's optimizer
+// solves every round, with hashed cardinalities: one class over 32 key
+// groups and 8 partitions, a quarter of them local, anchored round-robin
+// with a movement bill. The node cap ends the search; no clock does.
+func mipSolveFixture() (*mip.Instance, mip.Options) {
+	const groups, parts = 32, 8
+	in := &mip.Instance{NumPartitions: parts, NumGroups: groups, NumStreams: 1, LatP: make([]float64, parts), LatProc: 0.5}
+	for p := range in.LatP {
+		in.LatP[p] = 1
+		if p%4 == 0 {
+			in.LatP[p] = 0.2
+		}
+	}
+	cs := mip.ClassStream{Card: make([]float64, groups), SW: make([]float64, groups)}
+	prefer := make([]int, groups)
+	for g := range prefer {
+		cs.Card[g] = float64(10 + (g*2654435761)%90)
+		prefer[g] = g % parts
+	}
+	in.Classes = []mip.Class{{Label: "c", Weight: 1, Streams: []mip.ClassStream{cs}}}
+	return in, mip.Options{MaxNodes: 50000, Prefer: [][]int{prefer}, MoveCost: []float64{0.01}}
+}
+
+// measureMipSolve fills rep.MipSolve with the best of reps runs.
+func measureMipSolve(rep *BenchReport, reps int) error {
+	in, opt := mipSolveFixture()
+	for i := 0; i < max(reps, 1); i++ {
+		var nodes int64
+		var err error
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			nodes = 0
+			for n := 0; n < b.N && err == nil; n++ {
+				var res *mip.Result
+				if res, err = mip.Solve(in, opt); err == nil {
+					nodes += res.Nodes
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+		u := &MipSolveUnit{
+			NsPerNode:      float64(r.T.Nanoseconds()) / float64(nodes),
+			AllocsPerSolve: r.AllocsPerOp(),
+			Nodes:          nodes / int64(r.N),
+		}
+		if rep.MipSolve == nil || u.NsPerNode < rep.MipSolve.NsPerNode {
+			rep.MipSolve = u
+		}
+	}
+	return nil
+}
+
 // CollectBenchReport measures the report. The RunAll pair uses sc with
 // Workers forced to 1 and then to sc's resolved pool size, writing
 // tables to io.Discard; on a single-core machine the two times are
@@ -321,10 +390,10 @@ func (r *BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// CollectStepReport measures only the engine_step and engine_run
-// entries — the cheap subset the regression gate needs — taking the
-// best of reps runs per mode, the same min-of-N policy the committed
-// snapshots use.
+// CollectStepReport measures only the engine_step, engine_run and
+// mip_solve entries — the cheap subset the regression gate needs —
+// taking the best of reps runs per mode, the same min-of-N policy the
+// committed snapshots use.
 func CollectStepReport(sc Scale, reps int) (*BenchReport, error) {
 	batch := sc.Batch
 	if batch <= 0 {
@@ -345,6 +414,9 @@ func CollectStepReport(sc Scale, reps int) (*BenchReport, error) {
 	if err := measureEngineRun(rep, batch, reps); err != nil {
 		return nil, err
 	}
+	if err := measureMipSolve(rep, reps); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
 
@@ -353,7 +425,9 @@ func CollectStepReport(sc Scale, reps int) (*BenchReport, error) {
 // regressed by more than tolPct percent fails the gate. Modes only one
 // side has (schema growth) are reported but never fail. The engine's
 // worker sizing is gated within cur: each engine_run auto arm must be
-// within tolPct percent of the better pinned arm of its fixture.
+// within tolPct percent of the better pinned arm of its fixture. The
+// mip_solve entry is held to the baseline's on both of its numbers,
+// when the baseline has one.
 func CompareEngineStep(w io.Writer, cur, base *BenchReport, tolPct float64) error {
 	modes := make([]string, 0, len(base.EngineStep))
 	for name := range base.EngineStep {
@@ -393,6 +467,18 @@ func CompareEngineStep(w io.Writer, cur, base *BenchReport, tolPct float64) erro
 		}
 		fmt.Fprintf(w, "engine_run/%-15s inline %14.0f ns/op  parallel %8.0f ns/op  auto %8.0f ns/op  %+7.1f%% vs better  %s\n",
 			fx+"/auto", inline, par, auto, delta, status)
+	}
+	if b, c := base.MipSolve, cur.MipSolve; b != nil && c != nil {
+		delta := 100 * (c.NsPerNode - b.NsPerNode) / b.NsPerNode
+		status := "ok"
+		if delta > tolPct || float64(c.AllocsPerSolve) > float64(b.AllocsPerSolve)*(1+tolPct/100) {
+			status = "REGRESSION"
+			failed = append(failed, "mip_solve")
+		}
+		fmt.Fprintf(w, "mip_solve                  baseline %8.1f ns/node %5d allocs/solve  now %8.1f ns/node %5d allocs/solve  %+7.1f%%  %s\n",
+			b.NsPerNode, b.AllocsPerSolve, c.NsPerNode, c.AllocsPerSolve, delta, status)
+	} else if c != nil {
+		fmt.Fprintf(w, "mip_solve                  now      %8.1f ns/node %5d allocs/solve  (no baseline)\n", c.NsPerNode, c.AllocsPerSolve)
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("regression over %.0f%% in: %v", tolPct, failed)

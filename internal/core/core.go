@@ -21,7 +21,6 @@ import (
 	"saspar/internal/elastic"
 	"saspar/internal/engine"
 	"saspar/internal/faults"
-	"saspar/internal/keyspace"
 	"saspar/internal/ml"
 	"saspar/internal/netsim"
 	"saspar/internal/obs"
@@ -235,7 +234,6 @@ type System struct {
 	lastCurObj, lastNewObj       float64
 	lastMoveCost                 float64
 	lastMoved                    int
-	results                      []*optimizer.Result
 	forests                      []*ml.Forest // per stream, when UseML
 	streamBytes                  []float64    // per stream tuple size (for cost coefficients)
 
@@ -267,6 +265,19 @@ type System struct {
 
 	// Elasticity (nil without an Elastic config).
 	el *elasticRun
+
+	// The optimizer's rounds (see solve.go): running totals and the most
+	// recent result, the solve in flight if there is one, and the results
+	// that arrived too late to install. solve is optimizer.Optimize
+	// outside tests.
+	rounds      int
+	solves      int
+	nodes       int64
+	lastResult  *optimizer.Result
+	solve       func(*optimizer.Request, optimizer.Options) (*optimizer.Result, error)
+	inFlight    *solveJob
+	stalePlans  int
+	lastSolveMs float64 // wall clock
 
 	obs *sysObs // nil unless cfg.Obs is set
 }
@@ -391,7 +402,7 @@ func New(engCfg engine.Config, streams []engine.StreamDef, queries []engine.Quer
 	if err != nil {
 		return nil, err
 	}
-	s := &System{eng: eng, ctl: aqe.New(eng), cfg: cfg}
+	s := &System{eng: eng, ctl: aqe.New(eng), cfg: cfg, solve: optimizer.Optimize}
 	if cfg.Checkpoint.Interval > 0 {
 		s.ckpt, err = checkpoint.New(eng, cfg.Checkpoint, cfg.Obs)
 		if err != nil {
@@ -445,8 +456,9 @@ func (s *System) Controller() *aqe.Controller { return s.ctl }
 // checkpointing is off).
 func (s *System) Checkpointer() *checkpoint.Coordinator { return s.ckpt }
 
-// Optimizations returns the optimizer results so far.
-func (s *System) Optimizations() []*optimizer.Result { return s.results }
+// LastOptimization returns the most recent optimizer result, nil before
+// the first round. Earlier rounds survive only as the totals in Report.
+func (s *System) LastOptimization() *optimizer.Result { return s.lastResult }
 
 // Report is a point-in-time snapshot of the whole system: the control
 // loop's decision counters, the AQE state, and the engine/network
@@ -463,7 +475,7 @@ type Report struct {
 	SkippedPlans  int // solved plans not worth a reconfiguration
 	SkippedByGain int // ...of those, plans that missed the gain bar outright
 	SkippedByMove int // ...plans gated only by the amortized movement bill
-	Optimizations int // optimizer rounds recorded (== len(Optimizations()))
+	Optimizations int // optimizer rounds solved
 	Solves        int // MIP invocations across all rounds
 	NodesExplored int64
 	LastCurObj    float64 // incumbent objective at the last decision
@@ -559,9 +571,9 @@ func (s *System) Snapshot() Report {
 		SkippedPlans:       s.skipped,
 		SkippedByGain:      s.skippedByGain,
 		SkippedByMove:      s.skippedByMove,
-		Optimizations:      len(s.results),
-		Solves:             s.totalSolves(),
-		NodesExplored:      s.totalNodes(),
+		Optimizations:      s.rounds,
+		Solves:             s.solves,
+		NodesExplored:      s.nodes,
 		LastCurObj:         s.lastCurObj,
 		LastNewObj:         s.lastNewObj,
 		LastMoveCost:       s.lastMoveCost,
@@ -577,22 +589,6 @@ func (s *System) Snapshot() Report {
 		SharingRatio:       m.SharingRatio(),
 		Net:                net,
 	}
-}
-
-func (s *System) totalSolves() int {
-	n := 0
-	for _, r := range s.results {
-		n += r.Solves
-	}
-	return n
-}
-
-func (s *System) totalNodes() int64 {
-	var n int64
-	for _, r := range s.results {
-		n += r.Nodes
-	}
-	return n
 }
 
 // Trace returns the control-plane event trace accumulated so far
@@ -664,6 +660,9 @@ func (s *System) Run(d vtime.Duration) error {
 			// mid-reconfiguration must restart the recovery clock.
 			s.pollHealth()
 		}
+		// A solve that finished during the tick installs (or is dropped
+		// as stale) before any other producer can start a plan.
+		s.pollSolve()
 		if s.ctl.Busy() {
 			continue
 		}
@@ -750,19 +749,19 @@ const (
 	triggerManual   = "manual"
 )
 
-// TriggerNow runs one optimization round immediately (benchmarks and
-// the inspect command use it; the periodic and drift paths go through
-// trigger directly).
+// TriggerNow starts one optimization round immediately, gates and all,
+// as a periodic trigger would (a test hook).
 func (s *System) TriggerNow() { s.trigger(triggerManual) }
 
-// trigger runs one optimization round: score the incumbent, solve,
-// and either hand the plan to AQE or skip it — classifying the skip as
-// gain-gated (the plan isn't better enough even before movement) or
-// movement-gated (the sharing gain cleared the bar but the amortized
-// state-movement bill ate it).
+// trigger starts one optimization round: snapshot the statistics and
+// the running plan, score the incumbent, and hand the snapshot to the
+// solver (solve.go). The result is installed — or skipped as not worth
+// a reconfiguration — by install; when no source is fed that happens
+// before trigger returns. While a solve is in flight a trigger only
+// restarts the interval.
 func (s *System) trigger(reason string) {
 	s.lastTrigger = s.eng.Clock()
-	if !s.cfg.Enabled || s.ctl.Busy() {
+	if !s.cfg.Enabled || s.ctl.Busy() || s.inFlight != nil {
 		return
 	}
 	if s.col.Samples() < s.cfg.MinSamples {
@@ -783,39 +782,31 @@ func (s *System) trigger(reason string) {
 			obs.I("samples", int64(s.col.Samples())))
 	}
 
-	req, classes := s.buildRequest()
-	if req == nil || len(req.Queries) == 0 {
+	// Keep new placements off unhealthy, retired, and draining nodes —
+	// the mask is nil (unrestricted) whenever nothing needs excluding.
+	allowed, _ := s.allowedPartitions()
+	snap := s.snapshotPlan(allowed)
+	if snap == nil {
 		return
 	}
 	// Score the running plan for the hysteresis comparison.
-	cur := make([]*keyspace.Assignment, len(classes))
-	for i, cc := range classes {
-		cur[i] = s.eng.Assignment(cc.members[0])
-	}
-	curObj, err := optimizer.Score(req, cur)
+	curObj, err := optimizer.Score(snap.req, snap.anchors)
 	if err != nil {
 		return
 	}
-	o := s.cfg.Opt
-	o.Anchor = cur // incremental plans: move only groups that pay
-	refined := 0
+	snap.curObj = curObj
 	if reason == triggerDrift && s.cfg.RefineDrift > 0 {
-		if mask, n := s.refineMask(req.NumGroups); n > 0 && n < req.NumGroups {
+		if mask, n := s.refineMask(snap.req.NumGroups); n > 0 && n < snap.req.NumGroups {
 			// Incremental re-solve: freeze everything that held still.
 			// A mask that marks nothing (drift was spread too thin) or
 			// everything degrades to an ordinary full re-solve.
-			o.RefineGroups = mask
-			refined = n
+			snap.opt.RefineGroups = mask
+			snap.refined = n
 			s.refines++
 			if s.obs != nil {
 				s.obs.refines.Inc()
 			}
 		}
-	}
-	// Keep new placements off unhealthy, retired, and draining nodes —
-	// the mask is nil (unrestricted) whenever nothing needs excluding.
-	if allowed, ok := s.allowedPartitions(); ok {
-		o.AllowedPartitions = allowed
 	}
 	if h := s.cfg.PlanHorizon; h > 0 {
 		// Moving a key group re-ships its in-window state through the
@@ -823,20 +814,26 @@ func (s *System) trigger(reason string) {
 		// (h statistics epochs), that is the per-tuple move cost the
 		// solver weighs against the sharing/balance gain.
 		interval := s.cfg.TriggerInterval.Seconds()
-		o.MoveCost = make([]float64, len(classes))
-		for i, cc := range classes {
+		snap.opt.MoveCost = make([]float64, len(snap.classes))
+		for i, cc := range snap.classes {
 			rangeSec := s.eng.QuerySpecOf(cc.members[0]).Window.Range.Seconds()
-			o.MoveCost[i] = (rangeSec / interval) * 2 * req.LatNet / h
+			snap.opt.MoveCost[i] = (rangeSec / interval) * 2 * snap.req.LatNet / h
 		}
 	}
-	res, err := optimizer.Optimize(req, o)
-	if err != nil {
-		return
+	s.startSolve(snap)
+	if !s.eng.Fed() {
+		s.finishSolve(<-s.inFlight.done)
 	}
-	s.results = append(s.results, res)
+}
+
+// install decides what to do with a solved plan that is still current:
+// hand it to AQE, or skip it — classifying the skip as gain-gated (the
+// plan isn't better enough even before movement) or movement-gated (the
+// sharing gain cleared the bar but the amortized state-movement bill
+// ate it).
+func (s *System) install(snap *planSnapshot, res *optimizer.Result) {
+	req, classes, curObj := snap.req, snap.classes, snap.curObj
 	if s.obs != nil {
-		s.obs.solves.Add(float64(res.Solves))
-		s.obs.nodes.Add(float64(res.Nodes))
 		s.obs.boundGap.Set(res.BoundGap)
 		s.obs.objective.Set(res.Objective)
 		for _, h := range res.Heuristics {
@@ -879,14 +876,7 @@ func (s *System) trigger(reason string) {
 		s.col.Reset(s.eng.Clock())
 		return
 	}
-	newAssign := map[int]*keyspace.Assignment{}
-	for i, cc := range classes {
-		for _, qi := range cc.members {
-			// Members of a canonical class share one assignment object,
-			// so the engine's route classes stay collapsed.
-			newAssign[qi] = res.Assign[i]
-		}
-	}
+	newAssign := classAssignments(classes, res)
 	moved := 0
 	for qi, a := range newAssign {
 		moved += len(s.eng.Assignment(qi).Diff(a))
@@ -906,7 +896,7 @@ func (s *System) trigger(reason string) {
 				obs.I("solves", int64(res.Solves)),
 				obs.I("nodes", res.Nodes),
 				obs.F("bound_gap", res.BoundGap),
-				obs.I("refined_groups", int64(refined)),
+				obs.I("refined_groups", int64(snap.refined)),
 				obs.S("via", via))
 		}
 		s.col.Reset(s.eng.Clock())
@@ -917,6 +907,7 @@ func (s *System) trigger(reason string) {
 const (
 	skipGain     = "gain"
 	skipMovement = "movement"
+	skipStale    = "stale" // not a verdict on the plan: it answers a system that is gone
 )
 
 // classifySkip applies the hysteresis gate of the control loop and, on
@@ -944,12 +935,10 @@ type canonicalClass struct {
 	members []int // engine query indexes
 }
 
-// buildRequest assembles the optimizer request from current statistics.
-func (s *System) buildRequest() (*optimizer.Request, []canonicalClass) {
+// canonicalClasses groups the active queries by partitioning signature,
+// in query order.
+func (s *System) canonicalClasses() []canonicalClass {
 	eng := s.eng
-	ecfg := eng.Config()
-
-	// Canonicalize queries by partitioning signature.
 	bySig := map[string]int{}
 	var classes []canonicalClass
 	for qi := 0; qi < eng.NumQueries(); qi++ {
@@ -969,6 +958,14 @@ func (s *System) buildRequest() (*optimizer.Request, []canonicalClass) {
 		}
 		classes[ci].members = append(classes[ci].members, qi)
 	}
+	return classes
+}
+
+// buildRequest assembles the optimizer request from current statistics.
+func (s *System) buildRequest() (*optimizer.Request, []canonicalClass) {
+	eng := s.eng
+	ecfg := eng.Config()
+	classes := s.canonicalClasses()
 	// Nothing left to optimize (every query retired): return before the
 	// coefficient math so no degenerate mean can produce NaN that would
 	// leak into reports or exported requests.

@@ -92,14 +92,14 @@ func TestSasparTriggersAndOptimizes(t *testing.T) {
 	if snap.Triggers == 0 {
 		t.Fatal("SASPAR never triggered")
 	}
-	if len(s.Optimizations()) == 0 {
+	if snap.Optimizations == 0 || s.LastOptimization() == nil {
 		t.Fatal("no optimizer results recorded")
 	}
 	// Every optimization either applied a plan or was consciously
 	// skipped; nothing may be lost.
-	if snap.Applied+snap.SkippedPlans+boolToInt(s.Controller().Busy()) < len(s.Optimizations()) {
+	if snap.Applied+snap.SkippedPlans+boolToInt(s.Controller().Busy()) < snap.Optimizations {
 		t.Fatalf("plans lost: applied=%d skipped=%d busy=%v results=%d",
-			snap.Applied, snap.SkippedPlans, s.Controller().Busy(), len(s.Optimizations()))
+			snap.Applied, snap.SkippedPlans, s.Controller().Busy(), snap.Optimizations)
 	}
 }
 
@@ -225,7 +225,7 @@ func TestMLPathProducesPlans(t *testing.T) {
 	if s.Snapshot().Triggers == 0 {
 		t.Fatal("ML-path system never triggered")
 	}
-	if len(s.Optimizations()) == 0 {
+	if s.LastOptimization() == nil {
 		t.Fatal("ML path produced no optimizer results")
 	}
 }

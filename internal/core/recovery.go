@@ -8,7 +8,6 @@ import (
 	"saspar/internal/cluster"
 	"saspar/internal/keyspace"
 	"saspar/internal/obs"
-	"saspar/internal/optimizer"
 	"saspar/internal/vtime"
 )
 
@@ -276,35 +275,20 @@ func (s *System) tryEvacuation() {
 // partition domain. Anchors keep untouched groups in place (anchors on
 // excluded partitions are dropped inside the optimizer, so evacuation
 // itself pays no movement penalty); MoveCost is deliberately left unset
-// — during recovery, movement is mandatory, not a bill to amortize.
+// — during recovery, movement is mandatory, not a bill to amortize. For
+// the same reason the loop waits for this solve even when it is fed: a
+// solve the periodic trigger has in flight meanwhile comes back stale.
 func (s *System) planEvacuation(allowed []bool) map[int]*keyspace.Assignment {
-	req, classes := s.buildRequest()
-	if req == nil || len(req.Queries) == 0 {
+	snap := s.snapshotPlan(allowed)
+	if snap == nil {
 		return nil
 	}
-	cur := make([]*keyspace.Assignment, len(classes))
-	for i, cc := range classes {
-		cur[i] = s.eng.Assignment(cc.members[0])
-	}
-	o := s.cfg.Opt
-	o.Anchor = cur
-	o.AllowedPartitions = allowed
-	res, err := optimizer.Optimize(req, o)
+	res, err := s.solve(snap.req, snap.opt)
 	if err != nil {
 		return nil
 	}
-	s.results = append(s.results, res)
-	if s.obs != nil {
-		s.obs.solves.Add(float64(res.Solves))
-		s.obs.nodes.Add(float64(res.Nodes))
-	}
-	newAssign := map[int]*keyspace.Assignment{}
-	for i, cc := range classes {
-		for _, qi := range cc.members {
-			newAssign[qi] = res.Assign[i]
-		}
-	}
-	return newAssign
+	s.recordRound(res)
+	return classAssignments(snap.classes, res)
 }
 
 // fallbackEvacuation is the plan of last resort: clone each distinct

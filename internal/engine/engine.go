@@ -73,7 +73,7 @@ type Engine struct {
 	sampler Sampler
 
 	qcount  []*qCounting
-	results [][]AggResult
+	results []resultLog // per query
 
 	// inboxBytes tracks per-node ingress buffer occupancy (delivered
 	// but unprocessed entries); full buffers refuse further sends —
@@ -199,7 +199,7 @@ func New(cfg Config, streams []StreamDef, queries []QuerySpec) (*Engine, error) 
 	for i, q := range queries {
 		e.qcount[i] = newQCounting(len(q.Inputs), cfg.NumGroups)
 	}
-	e.results = make([][]AggResult, len(queries))
+	e.results = make([]resultLog, len(queries))
 	return e, nil
 }
 
@@ -260,6 +260,18 @@ func (e *Engine) SetBlockFeed(s StreamID, task int, f BlockFeed) error {
 	return fmt.Errorf("engine: no source task %d for stream %d", task, s)
 }
 
+// Fed reports whether any source task has a feed attached: the engine
+// is then paced by rows that arrive on the wall clock, not by a virtual
+// clock that runs free.
+func (e *Engine) Fed() bool {
+	for _, rt := range e.tasks {
+		if rt.feed != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // SetSampler installs the statistics sampler: every `every`-th concrete
 // tuple per router task yields a SampleVec. The spacing gate is
 // per-task (each task counts only its own tuples), so the sampled set
@@ -302,8 +314,14 @@ func (e *Engine) Config() Config { return e.cfg }
 // Assignment returns query qi's current assignment (read-only view).
 func (e *Engine) Assignment(qi int) *keyspace.Assignment { return e.queries[qi].assign }
 
-// Results returns the emitted exact-mode window results of query qi.
-func (e *Engine) Results(qi int) []AggResult { return e.results[qi] }
+// Results returns the emitted exact-mode window results of query qi,
+// contiguous and in emission order. The log itself is paged; the slice
+// is a copy kept beside it and extended by what was emitted since the
+// last call, so callers that only need the count use ResultCount.
+func (e *Engine) Results(qi int) []AggResult { return e.results[qi].all() }
+
+// ResultCount is len(Results(qi)) without materializing the slice.
+func (e *Engine) ResultCount(qi int) int { return e.results[qi].n }
 
 // SourceAcceptedRate reports the cumulative accepted modelled tuple
 // rate across all sources (offered minus backpressure losses).
@@ -625,7 +643,7 @@ func (e *Engine) AddQuery(spec QuerySpec) (int, error) {
 	}
 	e.metrics.addQuery()
 	e.qcount = append(e.qcount, newQCounting(len(spec.Inputs), e.cfg.NumGroups))
-	e.results = append(e.results, nil)
+	e.results = append(e.results, resultLog{})
 	return qi, nil
 }
 

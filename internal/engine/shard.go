@@ -396,7 +396,7 @@ func (e *Engine) foldSlotPhase(off int) {
 			case evtStray:
 				e.dispatchStray(s, ev)
 			case evtResult:
-				e.results[ev.res.Query] = append(e.results[ev.res.Query], ev.res)
+				e.results[ev.res.Query].add(ev.res)
 			case evtCkptCapture:
 				e.foldCkptCapture(ev)
 				ev.frags, ev.pend = nil, nil

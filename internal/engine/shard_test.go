@@ -53,7 +53,9 @@ func TestAutoWorkersFollowObservedTickCost(t *testing.T) {
 	if err := e.Run(2 * vtime.Second); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.TickStats(); st.Ticks != 20 || st.ParallelTicks != 0 || st.Workers != 1 {
+	// Under the race detector a micro tick costs more than forkJoinCost
+	// on a slow minute of the box, and the rule rightly goes parallel.
+	if st := e.TickStats(); st.Ticks != 20 || !raceEnabled && (st.ParallelTicks != 0 || st.Workers != 1) {
 		t.Fatalf("microsecond ticks did not stay inline: %+v", st)
 	}
 

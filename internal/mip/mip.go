@@ -359,9 +359,24 @@ type solver struct {
 	bestAssign [][]int
 	bound      float64 // best proven global lower bound (root)
 
+	// cands holds the candidate partitions of every search depth, one
+	// NumPartitions-wide stripe per (group, class) decision: a frame's
+	// candidates must outlive its recursive calls, and a stripe per depth
+	// gives each frame its own without allocating per node.
+	cands []cand
+
 	nodes    int64
 	deadline time.Time
 	timedOut bool
+}
+
+// cand is one candidate partition of a decision: its marginal traffic
+// cost and the ordering key (traffic plus marginal makespan, with the
+// anchored partition nudged ahead of near-ties).
+type cand struct {
+	p     int
+	delta float64
+	key   float64
 }
 
 func newSolver(in *Instance, opt Options) *solver {
@@ -484,6 +499,7 @@ func (s *solver) run() *Result {
 	s.bound = s.suffixTrafficLB[0] // root lower bound (traffic only)
 
 	if !s.gapReached() {
+		s.cands = make([]cand, s.in.NumGroups*len(s.in.Classes)*s.in.NumPartitions)
 		s.dfs(0, 0)
 	}
 
@@ -573,18 +589,14 @@ func (s *solver) dfs(gi, ci int) {
 		pref = s.opt.Prefer[ci][g]
 	}
 	frozen := s.frozenAt(ci, g, pref)
-	type cand struct {
-		p     int
-		delta float64
-		key   float64
-	}
 	moveCost := 0.0
 	if pref >= 0 && s.opt.MoveCost != nil {
 		for _, cs := range c.Streams {
 			moveCost += s.opt.MoveCost[ci] * c.Weight * cs.Card[g]
 		}
 	}
-	cands := make([]cand, 0, s.in.NumPartitions)
+	depth := gi*len(s.in.Classes) + ci
+	cands := s.cands[depth*s.in.NumPartitions : depth*s.in.NumPartitions : (depth+1)*s.in.NumPartitions]
 	for p := 0; p < s.in.NumPartitions; p++ {
 		if frozen && p != pref {
 			continue
@@ -611,17 +623,18 @@ func (s *solver) dfs(gi, ci int) {
 		if p == pref {
 			key *= 0.999
 		}
-		cands = append(cands, cand{p: p, delta: d, key: key})
+		// Insertion sort by (key, is-anchor, partition id): a strict total
+		// order, so the result is the one any comparison sort would give.
+		// Partitions arrive in ascending id, which settles the last
+		// tie-break: an equal earlier entry stays ahead.
+		c := cand{p: p, delta: d, key: key}
+		i := len(cands)
+		cands = cands[:i+1]
+		for ; i > 0 && (c.key < cands[i-1].key || (c.key == cands[i-1].key && p == pref)); i-- {
+			cands[i] = cands[i-1]
+		}
+		cands[i] = c
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].key != cands[b].key {
-			return cands[a].key < cands[b].key
-		}
-		if (cands[a].p == pref) != (cands[b].p == pref) {
-			return cands[a].p == pref
-		}
-		return cands[a].p < cands[b].p
-	})
 
 	for _, cd := range cands {
 		s.nodes++

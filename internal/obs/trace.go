@@ -21,7 +21,9 @@ const (
 	// solves, nodes, bound_gap, heuristics, exact.
 	EvPlanAccepted EventKind = "plan_accepted"
 	// EvPlanSkipped: the solved plan was rejected. Attrs: reason
-	// (gain|movement), cur_obj, new_obj, gross_obj, solves, nodes.
+	// (gain|movement), cur_obj, new_obj, gross_obj, solves, nodes; or
+	// reason=stale (it arrived after the plan it was solved for was
+	// gone) with new_obj, solve_ms, solves, nodes.
 	EvPlanSkipped EventKind = "plan_skipped"
 	// EvDriftDetected: per-group share drift exceeded DriftTrigger
 	// before the periodic interval elapsed. Attrs: drift, threshold.

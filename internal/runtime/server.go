@@ -218,7 +218,9 @@ func (s *Server) Start() error {
 }
 
 // Stop halts the serve loop, shuts the listeners, force-closes live
-// ingest connections and waits for every handler to finish. Idempotent
+// ingest connections and waits for every handler to finish. It does not
+// wait for an optimizer solve in flight: the solver delivers into a
+// buffered channel inside its own budget and is collected. Idempotent
 // and safe to call concurrently. The system stays inspectable
 // afterwards.
 func (s *Server) Stop() {
@@ -448,6 +450,14 @@ type Report struct {
 	// Ticks that ran on more than one worker; workers of the latest tick.
 	ParallelTicks int64 `json:"parallel_ticks"`
 	TickWorkers   int   `json:"tick_workers"`
+
+	// The optimizer solves beside the loop (core.System.SolveState):
+	// whether a solve is running now, how many results arrived after the
+	// plan they were solved for was gone, and the wall-clock length of
+	// the last finished solve.
+	SolveInFlight bool    `json:"solve_in_flight"`
+	StalePlans    int     `json:"stale_plans"`
+	LastSolveMs   float64 `json:"last_solve_ms"`
 }
 
 // Report snapshots the serving state; safe while the server runs.
@@ -480,10 +490,11 @@ func (s *Server) Report() Report {
 	rep.Applied = snap.Applied
 	ts := eng.TickStats()
 	rep.ParallelTicks, rep.TickWorkers = ts.ParallelTicks, ts.Workers
+	rep.SolveInFlight, rep.StalePlans, rep.LastSolveMs = s.sys.SolveState()
 	for qi := 0; qi < eng.NumQueries(); qi++ {
 		rep.Queries = append(rep.Queries, QueryReport{
 			ID:      eng.QuerySpecOf(qi).ID,
-			Results: len(eng.Results(qi)),
+			Results: eng.ResultCount(qi),
 		})
 	}
 	return rep

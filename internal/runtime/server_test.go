@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"saspar/internal/core"
 	"saspar/internal/engine"
+	"saspar/internal/optimizer"
 	"saspar/internal/parallel"
 	"saspar/internal/vtime"
 	"saspar/internal/workload"
@@ -150,6 +152,12 @@ func TestServeBlastLoopback(t *testing.T) {
 // sendFrames streams frames×rows rows of def's task source to the ring
 // (stream 0, task) over the binary protocol and returns Σ column 2.
 func sendFrames(addr string, def engine.StreamDef, task, frames, rows int) (sum float64, err error) {
+	return sendFramesEvery(addr, def, task, frames, rows, 0)
+}
+
+// sendFramesEvery is sendFrames on an open-loop schedule: frame f is
+// due f×every after the first, however long the writes before it took.
+func sendFramesEvery(addr string, def engine.StreamDef, task, frames, rows int, every time.Duration) (sum float64, err error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return 0, err
@@ -162,7 +170,9 @@ func sendFrames(addr string, def engine.StreamDef, task, frames, rows int) (sum 
 	var blk engine.TupleBlock
 	var scratch []byte
 	blk.Resize(rows, def.NumCols)
+	start := time.Now()
 	for f := 0; f < frames; f++ {
+		time.Sleep(time.Until(start.Add(time.Duration(f) * every)))
 		src.NextBlock(&blk, 0, rows)
 		for _, v := range blk.Col[2] {
 			sum += float64(v)
@@ -172,6 +182,24 @@ func sendFrames(addr string, def engine.StreamDef, task, frames, rows int) (sum 
 		}
 	}
 	return sum, nil
+}
+
+// waitResults polls query 0's results until they weigh want rows —
+// windows close as idle ticks carry virtual time past them — or 15 s
+// pass, and returns their total weight and sum.
+func waitResults(srv *Server, want float64) (weight, sum float64) {
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		weight, sum = 0, 0
+		srv.mu.Lock()
+		for _, r := range srv.System().Engine().Results(0) {
+			weight += r.Weight
+			sum += r.Sum
+		}
+		srv.mu.Unlock()
+		if weight >= want || time.Now().After(deadline) {
+			return weight, sum
+		}
+	}
 }
 
 // TestServeConservationUnderParallelTicks extends the worker-count
@@ -215,20 +243,7 @@ func TestServeConservationUnderParallelTicks(t *testing.T) {
 			wantSum := sums[0] + sums[1]
 
 			waitIngested(t, srv, sent)
-			// Windows close as idle ticks carry virtual time past them.
-			var weight, sum float64
-			for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-				weight, sum = 0, 0
-				srv.mu.Lock()
-				for _, r := range srv.System().Engine().Results(0) {
-					weight += r.Weight
-					sum += r.Sum
-				}
-				srv.mu.Unlock()
-				if weight >= sent || time.Now().After(deadline) {
-					break
-				}
-			}
+			weight, sum := waitResults(srv, sent)
 			rep := srv.Report()
 			if rep.IngestedRows != sent || weight != sent || sum != wantSum || rep.Refused != 0 {
 				t.Fatalf("sent %d rows summing %g: engine generated %d, results weigh %g and sum %g, %g refused",
@@ -348,5 +363,97 @@ func TestHTTPIngestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest: %d", resp.StatusCode)
+	}
+}
+
+// TestServeIngestsThroughSolves: the optimizer solves beside the serve
+// loop, so rows keep being claimed while it runs. An open-loop producer
+// sends a frame every 2 ms; the optimizer fires every 400 virtual
+// milliseconds and spends its whole wall-clock budget on each cascade
+// step (32 groups over 8 partitions is past what branch and bound
+// finishes), a few hundred milliseconds a round. Before the solve left
+// the loop, ingest stood still that long. The solver here is the real
+// one — core's solve seam is unexported on purpose — and the report's
+// last_solve_ms shows the rounds were as long as intended.
+func TestServeIngestsThroughSolves(t *testing.T) {
+	const frames, frameRows, every = 1000, 512, 2 * time.Millisecond
+	engCfg := engine.DefaultConfig()
+	engCfg.Nodes = 4
+	engCfg.NumPartitions = 8
+	engCfg.NumGroups = 32
+	engCfg.SourceTasks = 1
+	engCfg.TupleWeight = 1
+	engCfg.ExactWindows = true
+	coreCfg := core.DefaultConfig()
+	coreCfg.TriggerInterval = 400 * vtime.Millisecond
+	coreCfg.Opt = optimizer.Options{Timeout: 100 * time.Millisecond}
+	srv, err := NewServer(Config{
+		Workload: serveWorkload(), Engine: engCfg, Core: coreCfg,
+		Addr: "127.0.0.1:0", RingBlocks: 64, BlockRows: frameRows,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+
+	def := serveWorkload().Streams[0]
+	type sent struct {
+		sum float64
+		err error
+	}
+	done := make(chan sent, 1)
+	go func() {
+		sum, err := sendFramesEvery(srv.Addr(), def, 0, frames, frameRows, every)
+		done <- sent{sum, err}
+	}()
+
+	// Watch the claimed-row count while the producer runs: the longest
+	// stretch of wall time over which blocks sat in the ring and none
+	// was claimed, and the longest solve.
+	var out sent
+	var maxGap time.Duration
+	var maxSolveMs float64
+	var claimed int64
+	var stuckSince time.Time
+	for producing := true; producing; {
+		select {
+		case out = <-done:
+			producing = false
+		case <-time.After(time.Millisecond):
+		}
+		rep := srv.Report()
+		maxSolveMs = max(maxSolveMs, rep.LastSolveMs)
+		switch {
+		case rep.IngestedRows > claimed || srv.Queue(0, 0).Pending() == 0:
+			claimed, stuckSince = rep.IngestedRows, time.Time{}
+		case stuckSince.IsZero():
+			stuckSince = time.Now()
+		default:
+			maxGap = max(maxGap, time.Since(stuckSince))
+		}
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	rep := waitIngested(t, srv, frames*frameRows)
+	t.Logf("%d triggers, longest solve %.0f ms, longest ingest gap %v, %d stale", rep.Triggers, maxSolveMs, maxGap, rep.StalePlans)
+	if rep.Triggers < 2 || maxSolveMs < 100 {
+		t.Fatalf("%d triggers, longest solve %.0f ms: the run never exercised a long solve", rep.Triggers, maxSolveMs)
+	}
+	if maxGap > 50*time.Millisecond {
+		t.Fatalf("ingest stood still for %v while the optimizer solved", maxGap)
+	}
+
+	weight, sum := waitResults(srv, frames*frameRows)
+	rep = srv.Report()
+	if rep.IngestedRows != frames*frameRows || weight != frames*frameRows || sum != out.sum || rep.Refused != 0 {
+		t.Fatalf("sent %d rows summing %g: engine generated %d, results weigh %g and sum %g, %g refused",
+			frames*frameRows, out.sum, rep.IngestedRows, weight, sum, rep.Refused)
+	}
+	if got := rep.Queries[0].Results; got != len(srv.System().Engine().Results(0)) {
+		t.Fatalf("report counts %d results, the log holds %d", got, len(srv.System().Engine().Results(0)))
 	}
 }

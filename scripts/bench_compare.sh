@@ -14,6 +14,11 @@
 # fixture. That comparison is within this run, not against the
 # baseline. Run at the default GOMAXPROCS.
 #
+# Also re-measures mip_solve — one branch-and-bound solve of the serving
+# shape into a 50 000-node cap — and fails when its time per node or its
+# allocations per solve are more than the tolerance above the baseline's
+# (snapshots before PR 16 have no such entry and gate nothing here).
+#
 # Usage: scripts/bench_compare.sh [baseline.json]
 set -eu
 cd "$(dirname "$0")/.."

@@ -27,6 +27,11 @@
 #                      lock-free code the race detector exists for,
 #                      and whose consumer side migrates between tick
 #                      workers (TestServeConservationUnderParallelTicks),
+#                      the optimizer solve that runs beside the loop
+#                      that owns the engine (internal/core's
+#                      TestFedLoopTicksThroughSolve and
+#                      TestStaleResultsAreDropped, internal/runtime's
+#                      TestServeIngestsThroughSolves),
 #                      and the elastic autoscaling policy
 #                      (internal/elastic) whose decisions the pooled
 #                      determinism grid replays under sharded execution
@@ -39,6 +44,11 @@
 #                      safety properties, and the checkpoint delta
 #                      chain's materialize/fixpoint invariants — seeded
 #                      from testdata/fuzz corpora
+#   benchmark module   benchmark/ is its own module that compiles against
+#                      internal/ APIs (Engine.Results, core.ExportRequest,
+#                      runtime.Server): vet it and run its short tests, so
+#                      a change that breaks it fails here and not at the
+#                      benchmark gate
 #   serve smoke        boots sasparctl serve on loopback, blasts a
 #                      fixed row budget through the binary ingest
 #                      protocol, and asserts the /report saw every row
@@ -77,6 +87,9 @@ go test -run '^$' -fuzz FuzzGreedyVsBB -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzPolicyStep -fuzztime 10s ./internal/elastic/
 go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
 
+echo "== benchmark module (vet + short tests)"
+(cd benchmark && go vet ./... && go test -short ./...)
+
 echo "== serve smoke (loopback ingest)"
 ctl=$(mktemp -t sasparctl.XXXXXX)
 go build -o "$ctl" ./cmd/sasparctl
@@ -100,7 +113,7 @@ if ! echo "$blast_out" | grep -q '"ingested_rows":65536'; then
     exit 1
 fi
 
-echo "== bench compare (engine_step regression gate, engine_run auto-vs-pinned gate)"
+echo "== bench compare (engine_step and mip_solve regression gates, engine_run auto-vs-pinned gate)"
 scripts/bench_compare.sh
 
 echo "CI OK"
