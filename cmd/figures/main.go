@@ -22,8 +22,8 @@
 // (engine.Config.BatchSize, default 64; 1 = tuple-at-a-time): a pure
 // execution knob of the columnar data plane, byte-identical output at
 // any value. -bench-json measures a performance
-// snapshot — engine tick cost and sequential-vs-parallel RunAll wall
-// clock — and writes it to FILE instead of running figures.
+// snapshot — engine tick cost, optimizer kernels and the deterministic
+// scenario figures — and writes it to FILE instead of running figures.
 // -bench-compare re-measures only engine_step, engine_run and mip_solve
 // (best of three) and fails if an engine_step mode or mip_solve
 // regressed more than -bench-tolerance percent against the committed

@@ -7,20 +7,21 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-	"time"
 
+	"saspar/internal/core"
 	"saspar/internal/engine"
 	"saspar/internal/mip"
 	"saspar/internal/parallel"
+	"saspar/internal/stats"
 	"saspar/internal/vtime"
 )
 
 // This file is the machine-readable performance snapshot behind
 // `cmd/figures -bench-json` (the BENCH_*.json files at the repo root):
 // the engine's steady-state tick cost — time, bytes and allocations per
-// step — plus the wall-clock of a full RunAll at one worker and at the
-// configured worker count. Committed snapshots let a later change be
-// compared against the numbers this revision measured.
+// step — the optimizer kernels, and the deterministic scenario figures.
+// Committed snapshots let a later change be compared against the
+// numbers this revision measured.
 
 // BenchUnit is one benchmark's per-operation cost.
 type BenchUnit struct {
@@ -49,7 +50,6 @@ type BenchReport struct {
 	Schema     string `json:"schema"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu,omitempty"` // absent from snapshots before PR 14
-	Workers    int    `json:"workers"`           // resolved pool size for the parallel RunAll
 
 	// BatchSize is the generation block size the engine-step entries ran
 	// at (engine.Config.BatchSize; the "shared_batch1" entry pins 1).
@@ -58,7 +58,11 @@ type BenchReport struct {
 	// EngineStep holds the steady-state cost of one simulation tick,
 	// keyed "nonshared" / "shared" at the default batch size, plus
 	// "shared_batch1" — the same shared fixture forced to strict
-	// tuple-at-a-time generation, so the batch-off tax stays visible.
+	// tuple-at-a-time generation, so the batch-off tax stays visible —
+	// and "shared_sampled", the shared fixture with the statistics
+	// collector attached the way core.New attaches it: the one shared
+	// configuration a SASPAR run can actually construct (absent before
+	// PR 23).
 	EngineStep map[string]BenchUnit `json:"engine_step"`
 
 	// EngineRun holds whole-tick cost on both sides of the engine's
@@ -74,23 +78,12 @@ type BenchReport struct {
 	// clock (mipSolveFixture). Absent before PR 16.
 	MipSolve *MipSolveUnit `json:"mip_solve,omitempty"`
 
-	RunAllSequentialSec float64 `json:"runall_sequential_seconds"`
-	RunAllParallelSec   float64 `json:"runall_parallel_seconds"`
-	RunAllSpeedup       float64 `json:"runall_speedup"`
-
 	// GreedySolveSeconds is one greedy-tier optimizer solve at
 	// acceptance scale (8 queries × 64 partitions × 100k key groups,
 	// internal/bench/greedy.go) — the number that must stay inside an
 	// optimizer trigger interval for drift response at serving scale.
 	// Absent from snapshots that predate the greedy tier.
 	GreedySolveSeconds float64 `json:"greedy_solve_seconds,omitempty"`
-
-	// ServeMtuplesPerSec is the wall-clock serving path end to end:
-	// loopback TCP blast into `sasparctl serve`'s runtime, timed until
-	// the engine claimed every row (internal/bench/serve.go). Absent
-	// from snapshots that predate the serving runtime; the compare gate
-	// ignores it.
-	ServeMtuplesPerSec float64 `json:"serve_mtuples_per_sec,omitempty"`
 
 	// ElasticRecoverSec is the shared arm's flash-onset → SLO-restored
 	// time in virtual seconds under the elastic flash-crowd scenario
@@ -151,8 +144,9 @@ func (g *blockGen) NextBlock(b *engine.TupleBlock, from, to int) {
 // fixture: two streams with deterministic generators, a mix of keyed
 // aggregations and a join — ~5 k concrete rows per 50–120 µs tick.
 // heavy makes it the shape `sasparctl serve` runs: weight 1, exact
-// windows, 20 k concrete rows per ms-scale tick.
-func stepBenchEngine(shared, heavy bool, batch int) (*engine.Engine, vtime.Duration, error) {
+// windows, 20 k concrete rows per ms-scale tick. sampled attaches a
+// statistics collector exactly as core.New does.
+func stepBenchEngine(shared, heavy, sampled bool, batch int) (*engine.Engine, vtime.Duration, error) {
 	cfg := engine.DefaultConfig()
 	cfg.Nodes = 4
 	cfg.NumPartitions = 8
@@ -185,6 +179,10 @@ func stepBenchEngine(shared, heavy bool, batch int) (*engine.Engine, vtime.Durat
 	e, err := engine.New(cfg, streams, queries)
 	if err != nil {
 		return nil, 0, err
+	}
+	if sampled {
+		every := core.DefaultConfig().SampleEvery
+		e.SetSampler(stats.NewCollector(len(streams), cfg.NumGroups, float64(every)*cfg.TupleWeight), every)
 	}
 	e.SetStreamRate(0, rateA)
 	e.SetStreamRate(1, rateB)
@@ -230,10 +228,10 @@ const stepReps = 3
 // bestOf measures one configuration on reps independently built,
 // freshly primed engines and keeps the fastest; pinned is the
 // PinTickWorkers value.
-func bestOf(reps int, shared, heavy bool, batch, pinned int) (BenchUnit, error) {
+func bestOf(reps int, shared, heavy, sampled bool, batch, pinned int) (BenchUnit, error) {
 	var best BenchUnit
 	for i := 0; i < max(reps, 1); i++ {
-		e, tick, err := stepBenchEngine(shared, heavy, batch)
+		e, tick, err := stepBenchEngine(shared, heavy, sampled, batch)
 		if err != nil {
 			return best, err
 		}
@@ -245,17 +243,22 @@ func bestOf(reps int, shared, heavy bool, batch, pinned int) (BenchUnit, error) 
 	return best, nil
 }
 
-// measureEngineStep fills rep.EngineStep with the three fixed modes:
-// both sharing modes at the requested batch size, plus shared at
-// batch=1 (the tuple-at-a-time reference the batching speedup is
-// quoted against).
+// measureEngineStep fills rep.EngineStep with the four fixed modes:
+// both sharing modes at the requested batch size, shared at batch=1
+// (the tuple-at-a-time reference the batching speedup is quoted
+// against), and shared with the sampler attached.
 func measureEngineStep(rep *BenchReport, batch, reps int) (err error) {
 	for _, mode := range []struct {
-		name   string
-		shared bool
-		batch  int
-	}{{"nonshared", false, batch}, {"shared", true, batch}, {"shared_batch1", true, 1}} {
-		if rep.EngineStep[mode.name], err = bestOf(reps, mode.shared, false, mode.batch, 0); err != nil {
+		name            string
+		shared, sampled bool
+		batch           int
+	}{
+		{"nonshared", false, false, batch},
+		{"shared", true, false, batch},
+		{"shared_batch1", true, false, 1},
+		{"shared_sampled", true, true, batch},
+	} {
+		if rep.EngineStep[mode.name], err = bestOf(reps, mode.shared, false, mode.sampled, mode.batch, 0); err != nil {
 			return err
 		}
 	}
@@ -270,7 +273,7 @@ func measureEngineRun(rep *BenchReport, batch, reps int) (err error) {
 	pinned := map[string]int{"inline": 1, "parallel": 4, "auto": 0}
 	for _, fx := range []string{"micro", "heavy"} {
 		for _, arm := range []string{"inline", "parallel", "auto"} {
-			if rep.EngineRun[fx+"/"+arm], err = bestOf(reps, true, fx == "heavy", batch, pinned[arm]); err != nil {
+			if rep.EngineRun[fx+"/"+arm], err = bestOf(reps, true, fx == "heavy", false, batch, pinned[arm]); err != nil {
 				return err
 			}
 		}
@@ -332,20 +335,13 @@ func measureMipSolve(rep *BenchReport, reps int) error {
 	return nil
 }
 
-// CollectBenchReport measures the report. The RunAll pair uses sc with
-// Workers forced to 1 and then to sc's resolved pool size, writing
-// tables to io.Discard; on a single-core machine the two times are
-// expected to be close.
+// CollectBenchReport measures the whole report: the step report plus
+// the greedy solve and the deterministic scenario figures.
 func CollectBenchReport(sc Scale) (*BenchReport, error) {
 	rep, err := CollectStepReport(sc, stepReps)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := measureServe(rep, stepReps); err != nil {
-		return nil, err
-	}
-
 	if err := measureGreedySolve(rep, stepReps); err != nil {
 		return nil, err
 	}
@@ -361,25 +357,6 @@ func CollectBenchReport(sc Scale) (*BenchReport, error) {
 		return nil, err
 	}
 	rep.MigrationPauseSec = pause
-
-	seq := sc
-	seq.Workers = 1
-	start := time.Now()
-	if err := RunAll(seq, io.Discard); err != nil {
-		return nil, err
-	}
-	rep.RunAllSequentialSec = time.Since(start).Seconds()
-
-	par := sc
-	par.Workers = rep.Workers
-	start = time.Now()
-	if err := RunAll(par, io.Discard); err != nil {
-		return nil, err
-	}
-	rep.RunAllParallelSec = time.Since(start).Seconds()
-	if rep.RunAllParallelSec > 0 {
-		rep.RunAllSpeedup = rep.RunAllSequentialSec / rep.RunAllParallelSec
-	}
 	return rep, nil
 }
 
@@ -403,7 +380,6 @@ func CollectStepReport(sc Scale, reps int) (*BenchReport, error) {
 		Schema:     "saspar-bench-v1",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Workers:    parallel.New(sc.Workers).NumWorkers(),
 		BatchSize:  batch,
 		EngineStep: map[string]BenchUnit{},
 		EngineRun:  map[string]BenchUnit{},

@@ -8,6 +8,7 @@ import (
 
 	"saspar/internal/checkpoint"
 	"saspar/internal/engine"
+	"saspar/internal/enginetest"
 	"saspar/internal/faults"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
@@ -31,7 +32,7 @@ import (
 // floor. withCrash additionally strikes a node late in the flash —
 // after the autoscaler has admitted capacity — with aligned-barrier
 // checkpoints armed, composing join, recovery and restore in one run.
-func runElasticFingerprint(t *testing.T, cell engine.WorkerCell, withCrash bool) ([]byte, Report) {
+func runElasticFingerprint(t *testing.T, cell enginetest.WorkerCell, withCrash bool) ([]byte, Report) {
 	t.Helper()
 	parallel.SetBudget(cell.Budget)
 	defer parallel.SetBudget(-1)
@@ -104,7 +105,7 @@ func TestGoldenTraceDeterminismUnderElasticity(t *testing.T) {
 	if rep.ElasticDrains == 0 {
 		t.Fatal("elastic scenario never drained; the determinism test is vacuous")
 	}
-	assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+	assertGridMatches(t, base, func(g enginetest.WorkerCell) []byte {
 		got, _ := runElasticFingerprint(t, g, false)
 		return got
 	})
@@ -122,7 +123,7 @@ func TestGoldenTraceDeterminismUnderElasticityWithCrash(t *testing.T) {
 	if rep.ElasticJoins == 0 {
 		t.Fatal("no join composed with the crash; the composition test is vacuous")
 	}
-	assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+	assertGridMatches(t, base, func(g enginetest.WorkerCell) []byte {
 		got, _ := runElasticFingerprint(t, g, true)
 		return got
 	})

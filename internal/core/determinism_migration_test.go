@@ -9,6 +9,7 @@ import (
 
 	"saspar/internal/checkpoint"
 	"saspar/internal/engine"
+	"saspar/internal/enginetest"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
 	"saspar/internal/parallel"
@@ -55,7 +56,7 @@ func driftingStream() engine.StreamDef {
 // runMigrationFingerprint replays the drifting-skew schedule in the
 // given migration mode and returns the byte fingerprint, the final
 // report, and the sorted exact-mode window results.
-func runMigrationFingerprint(t *testing.T, mode string, cell engine.WorkerCell) ([]byte, Report, []engine.AggResult) {
+func runMigrationFingerprint(t *testing.T, mode string, cell enginetest.WorkerCell) ([]byte, Report, []engine.AggResult) {
 	t.Helper()
 	parallel.SetBudget(cell.Budget)
 	defer parallel.SetBudget(-1)
@@ -142,7 +143,7 @@ func TestGoldenTraceDeterminismAcrossMigrationModes(t *testing.T) {
 			if rep.MigrationPauseSec <= 0 {
 				t.Fatalf("mode %s recorded no migration pause despite %d applied", mode, rep.Applied)
 			}
-			assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+			assertGridMatches(t, base, func(g enginetest.WorkerCell) []byte {
 				got, _, _ := runMigrationFingerprint(t, mode, g)
 				return got
 			})

@@ -8,6 +8,7 @@ import (
 
 	"saspar/internal/checkpoint"
 	"saspar/internal/engine"
+	"saspar/internal/enginetest"
 	"saspar/internal/faults"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
@@ -30,7 +31,7 @@ import (
 // workerGrid is the pinned-workers × budget matrix every scenario in
 // this package is replayed over; cell 0 is the sequential reference the
 // others are compared with.
-var workerGrid = engine.WorkerGrid()
+var workerGrid = enginetest.WorkerGrid()
 
 // detWorkload is a deterministic two-stream mix: two identical keyed
 // aggregations (the sharing pair) plus a join, so the fingerprint
@@ -55,7 +56,7 @@ func detWorkload() ([]engine.StreamDef, []engine.QuerySpec) {
 // fingerprint. Every wall-clock cutoff is replaced by
 // deterministic node budgets so the optimizer's decisions cannot depend
 // on machine speed or concurrent load.
-func runFingerprint(t *testing.T, kind spe.Kind, cell engine.WorkerCell, batch int, withFaults bool) ([]byte, Report) {
+func runFingerprint(t *testing.T, kind spe.Kind, cell enginetest.WorkerCell, batch int, withFaults bool) ([]byte, Report) {
 	t.Helper()
 	parallel.SetBudget(cell.Budget)
 	defer parallel.SetBudget(-1)
@@ -136,7 +137,7 @@ func diffLine(a, b []byte) string {
 
 // assertGridMatches replays run under every workerGrid cell but the
 // reference and fails on the first fingerprint that differs from base.
-func assertGridMatches(t *testing.T, base []byte, run func(engine.WorkerCell) []byte) {
+func assertGridMatches(t *testing.T, base []byte, run func(enginetest.WorkerCell) []byte) {
 	t.Helper()
 	for _, g := range workerGrid[1:] {
 		if got := run(g); !bytes.Equal(base, got) {
@@ -156,7 +157,7 @@ func TestGoldenTraceDeterminismAcrossWorkers(t *testing.T) {
 			if rep.Throughput == 0 {
 				t.Fatal("scenario processed nothing; the determinism test is vacuous")
 			}
-			assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+			assertGridMatches(t, base, func(g enginetest.WorkerCell) []byte {
 				got, _ := runFingerprint(t, kind, g, 0, false)
 				return got
 			})
@@ -176,7 +177,7 @@ func TestGoldenTraceDeterminismUnderFaults(t *testing.T) {
 	if rep.Checkpoints == 0 {
 		t.Fatal("no checkpoint completed; the composition test is vacuous")
 	}
-	assertGridMatches(t, base, func(g engine.WorkerCell) []byte {
+	assertGridMatches(t, base, func(g enginetest.WorkerCell) []byte {
 		got, _ := runFingerprint(t, spe.Flink, g, 0, true)
 		return got
 	})
@@ -190,7 +191,7 @@ var batchSizes = []int{1, 7, 64}
 
 // eachBatchCell calls f for every (batch size, worker cell) pair except
 // the baseline itself.
-func eachBatchCell(f func(batch int, cell engine.WorkerCell)) {
+func eachBatchCell(f func(batch int, cell enginetest.WorkerCell)) {
 	for _, batch := range batchSizes {
 		for i, cell := range workerGrid {
 			if batch != 1 || i != 0 {
@@ -212,7 +213,7 @@ func TestGoldenTraceDeterminismAcrossBatchSizes(t *testing.T) {
 			if rep.Throughput == 0 {
 				t.Fatal("scenario processed nothing; the batch-axis test is vacuous")
 			}
-			eachBatchCell(func(batch int, g engine.WorkerCell) {
+			eachBatchCell(func(batch int, g enginetest.WorkerCell) {
 				got, _ := runFingerprint(t, kind, g, batch, false)
 				if !bytes.Equal(base, got) {
 					t.Fatalf("batch=%d %+v diverged from batch=1 %+v at %s",
@@ -231,7 +232,7 @@ func TestGoldenTraceDeterminismAcrossBatchSizesUnderFaults(t *testing.T) {
 	if rep.FaultsInjected == 0 || rep.Checkpoints == 0 {
 		t.Fatal("composition scenario vacuous")
 	}
-	eachBatchCell(func(batch int, g engine.WorkerCell) {
+	eachBatchCell(func(batch int, g enginetest.WorkerCell) {
 		got, _ := runFingerprint(t, spe.Flink, g, batch, true)
 		if !bytes.Equal(base, got) {
 			t.Fatalf("batch=%d %+v diverged from batch=1 %+v at %s",

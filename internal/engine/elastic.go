@@ -104,6 +104,10 @@ func (e *Engine) AddNode(slots int) (cluster.NodeID, []int, error) {
 		nr.slots = append(nr.slots, s)
 		newParts = append(newParts, p)
 	}
+	// The slot count is compiled into the stream plans.
+	if err := e.rebuildPlans(); err != nil {
+		panic(err) // the classes are unchanged, so their bound still holds
+	}
 	return id, newParts, nil
 }
 

@@ -203,10 +203,13 @@ func New(cfg Config, streams []StreamDef, queries []QuerySpec) (*Engine, error) 
 	return e, nil
 }
 
+// rebuildPlans regroups and recompiles every stream's plan. Called
+// whenever anything a plan is compiled from changes: assignments, the
+// query set, the sampler, the partition-slot count.
 func (e *Engine) rebuildPlans() error {
 	plans := make([]*streamPlan, len(e.streams))
 	for si := range e.streams {
-		p, err := buildStreamPlan(StreamID(si), e.queries)
+		p, err := e.buildStreamPlan(StreamID(si))
 		if err != nil {
 			return err
 		}
@@ -277,10 +280,15 @@ func (e *Engine) Fed() bool {
 // per-task (each task counts only its own tuples), so the sampled set
 // is independent of the shard count; samples are delivered to the
 // Sampler sequentially at the tick's merge barrier, in task order.
+// Whether a sampler is attached is compiled into the stream plans, so
+// they are rebuilt.
 func (e *Engine) SetSampler(s Sampler, every int) {
 	e.sampler = s
 	for _, rt := range e.tasks {
 		rt.gate = sampleGate{every: every}
+	}
+	if err := e.rebuildPlans(); err != nil {
+		panic(err) // the classes are unchanged, so their bound still holds
 	}
 }
 

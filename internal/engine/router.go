@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sort"
 	"unsafe"
 
 	"saspar/internal/cluster"
@@ -55,6 +54,10 @@ type routeClass struct {
 	// assignment table (see keyspace.Assignment.Table), so it can never
 	// drift from assign; plans are rebuilt whenever assignments swap.
 	route []keyspace.PartitionID
+
+	// Cost constants, fixed by compile.
+	copies        float64 // non-shared: physical copies shipped per row
+	opEff, opTerm float64 // see opCPU
 }
 
 // classSignature is the grouping key for route-class construction.
@@ -84,17 +87,167 @@ func assignmentFingerprint(a *keyspace.Assignment) uint64 {
 	return h
 }
 
+// classifyKernel names the per-block classification loop a plan
+// compiled to, mergeKernel the shared merge pass that follows it (see
+// compile for the selection, the methods of the same names for what
+// each does). A tick executes one of each without asking again.
+type classifyKernel uint8
+
+const (
+	classifyFused      classifyKernel = iota // folded, 2^k groups, no sampler
+	classifyGeneric                          // folded, through a group lane
+	classifyRowShared                        // row lanes, shared
+	classifyRowScatter                       // row lanes, non-shared
+	numClassifyKernels
+)
+
+type mergeKernel uint8
+
+const (
+	mergeNone     mergeKernel = iota // non-shared, or one shared folded class
+	mergePair                        // folded, two classes, every row accepted
+	mergeFolded                      // folded, any class count
+	mergeRowLanes                    // row lanes
+	numMergeKernels
+)
+
 // streamPlan is the per-stream routing plan shared by all router tasks
-// of that stream. It is rebuilt whenever assignments change.
+// of that stream: the route classes, plus everything about executing
+// them that is a function of the plan, the engine Config and whether a
+// sampler is attached. It is rebuilt — never edited — whenever one of
+// those changes (assignment swap, query add/remove, SetSampler,
+// AddNode), so a task detects the change by pointer (see bind).
 type streamPlan struct {
 	stream  StreamID
 	classes []*routeClass
+
+	shared   bool
+	rowLanes bool // exact windows or micro-batch: entries carry per-row lanes
+	sampling bool
+	// checkAcc: some class rejects rows (filter or sel < 1), so the
+	// prepass fills the acceptance lane; hasFilter: it needs the row
+	// gathered into a Tuple first.
+	checkAcc, hasFilter bool
+	// needSlot: the folded merge reads per-(class, row) slots — only
+	// when distinct classes could send one row to distinct slots.
+	needSlot bool
+
+	numCols  int // schema width the source fills
+	laneCols int // column lanes entries carry (exact windows only)
+	batch    int // block rows; scratch lanes are strided by it
+	groups   int
+	slots    int
+	buckets  int // dense route keys: slot (shared) or class·slots+slot
+
+	classify classifyKernel
+	merge    mergeKernel
+
+	// mem is the per-class member count, flat: the merge passes read it
+	// once per (row, class).
+	mem []int32
+
+	// bytesPer is the wire size of one concrete tuple, weight included.
+	bytesPer float64
 }
 
-func buildStreamPlan(stream StreamID, queries []*queryInst) (*streamPlan, error) {
+// compile fixes everything routeTick and the slot cost helpers would
+// otherwise re-derive per tick, per run or per row.
+func (p *streamPlan) compile(e *Engine) {
+	cfg, def := &e.cfg, &e.streams[p.stream]
+	nc := len(p.classes)
+	p.shared = cfg.Shared
+	p.rowLanes = cfg.ExactWindows || cfg.Profile.MicroBatch
+	p.sampling = e.sampler != nil
+	p.numCols, p.batch = def.NumCols, cfg.BatchSize
+	if cfg.ExactWindows {
+		p.laneCols = def.NumCols
+	}
+	p.groups, p.slots = cfg.NumGroups, cfg.NumPartitions
+	p.buckets = p.slots
+	if !p.shared {
+		p.buckets = nc * p.slots
+	}
+	p.needSlot = p.shared && nc > 1
+	p.bytesPer = def.BytesPerTuple * cfg.TupleWeight
+	for _, rc := range p.classes {
+		if rc.filter != nil {
+			p.hasFilter, p.checkAcc = true, true
+		} else if rc.sel < 1 {
+			p.checkAcc = true
+		}
+		rc.compile(cfg)
+		p.mem = append(p.mem, int32(len(rc.members)))
+	}
+
+	switch {
+	case p.rowLanes && p.shared:
+		p.classify = classifyRowShared
+	case p.rowLanes:
+		p.classify = classifyRowScatter
+	case e.space.Mask() != 0 && !p.sampling:
+		// Not while sampling: the sampler stages the per-class group
+		// lane, which the fused loops never write.
+		p.classify = classifyFused
+	default:
+		p.classify = classifyGeneric
+	}
+	switch {
+	case p.rowLanes && p.shared:
+		p.merge = mergeRowLanes
+	case p.rowLanes || !p.needSlot:
+		p.merge = mergeNone
+	case nc == 2 && !p.checkAcc:
+		p.merge = mergePair
+	default:
+		p.merge = mergeFolded
+	}
+}
+
+// compile fixes the class's cost constants. opEff·opTerm is the
+// post-partition operator cost of one unit of tuple weight for all
+// members (see opCPU); copies is how many physical copies of a row a
+// non-shared router ships.
+func (rc *routeClass) compile(cfg *Config) {
+	m := float64(len(rc.members))
+	rc.copies, rc.opEff, rc.opTerm = m, m, cfg.Cost.AggCPU
+	q0 := rc.members[0].q.spec
+	if q0.Kind != OpJoin {
+		return
+	}
+	if cfg.Profile.SharedJoinCompute && m > 1 {
+		// AJoin: the join work for similar queries runs once, with a
+		// small per-extra-query bookkeeping cost.
+		rc.opEff = 1 + 0.1*(m-1)
+	}
+	fan := q0.JoinFanout
+	if fan <= 0 {
+		fan = 0.25
+	}
+	rc.opTerm = cfg.Cost.JoinCPU*cfg.Profile.joinCPUFactor() + cfg.Cost.EmitCPU*fan
+	// Every member query ships its own copy (Fig. 1a/1b) — except under
+	// AJoin's join-group batching, which eliminates part of the
+	// duplicate traffic of identical join queries.
+	frac := cfg.Profile.JoinDataShareFrac
+	for _, mb := range rc.members {
+		if mb.q.spec.Kind != OpJoin {
+			frac = 0
+		}
+	}
+	if frac > 0 && m > 1 {
+		rc.copies = 1 + (1-frac)*(m-1)
+	}
+}
+
+// opCPU is the post-partition operator cost of one tuple of weight w
+// for every member of the class.
+func (rc *routeClass) opCPU(w float64) float64 { return w * rc.opEff * rc.opTerm }
+
+// buildStreamPlan groups the stream's active (query, side) inputs into
+// route classes and compiles the plan.
+func (e *Engine) buildStreamPlan(stream StreamID) (*streamPlan, error) {
 	plan := &streamPlan{stream: stream}
 	bySig := map[classSignature]*routeClass{}
-	for _, q := range queries {
+	for _, q := range e.queries {
 		if q.inactive {
 			continue
 		}
@@ -130,6 +283,7 @@ func buildStreamPlan(stream StreamID, queries []*queryInst) (*streamPlan, error)
 		return nil, fmt.Errorf("engine: stream %d has %d route classes, max %d — canonicalize assignments per query signature",
 			stream, len(plan.classes), maxClassesPerStream)
 	}
+	plan.compile(e)
 	return plan, nil
 }
 
@@ -209,13 +363,16 @@ type routerTask struct {
 	sampTS    []vtime.Time
 	sampLen   []int
 
-	// Per-tick routing scratch, reused across ticks (the engine is
-	// single-threaded, so no synchronization): buckets maps a dense
-	// route key — slot in shared mode, class·NumPartitions+slot in
-	// non-shared mode — to the entry being filled, and usedKeys lists
-	// the keys touched this tick so only they are scanned and reset.
-	buckets  []*entry
-	usedKeys []int
+	// bound is the plan the scratch below is sized for (see bind).
+	bound *streamPlan
+
+	// Routing scratch, sized at bind and left clean by every tick (the
+	// task's phases never overlap, so no synchronization): buckets maps
+	// a dense route key — slot in shared mode, class·slots+slot in
+	// non-shared mode — to the entry being filled. The key space is
+	// small (slots, or classes × slots), so a tick's entries are found
+	// by scanning it, which is also the order they ship in.
+	buckets []*entry
 
 	// Columnar block scratch. blk is the generation block the source
 	// fills; the classification passes write per-(class, row) results
@@ -236,7 +393,8 @@ type routerTask struct {
 	// generation was blocked — so everything that folds per run (stray
 	// reroute events, reservoir samples) is batch-invariant too.
 	// slotN/slotXQ tally the shared merge pass the same flat way:
-	// physical rows and extra served queries per target slot.
+	// physical rows and extra served queries per target slot. Flush and
+	// account zero what they read, so every tick starts from zeroes.
 	blk     TupleBlock
 	keyScr  []uint64
 	slotScr []int32
@@ -246,9 +404,7 @@ type routerTask struct {
 	runAcc  []runCell
 	slotN   []int32
 	slotXQ  []int32
-	memCnt  []int32 // per class: member count, cached per tick
 	accCnt  []int64 // per class: rows accepted this tick
-	dupOf   []int32 // per class: earlier identical-key class, or -1
 
 	// shim is the Tuple staging cell of the filter prepass. A field, not
 	// a local: its address crosses the filter's function-value boundary,
@@ -326,16 +482,12 @@ func (rt *routerTask) releaseFeed() {
 	rt.fc.blocks = rt.fc.blocks[:0]
 }
 
-// routeTick generates and routes this task's tuples for one tick of
-// length dt ending at e.clock. Runs in the parallel router phase: it
-// touches only task/node-local state plus read-only engine state, and
-// stages its sends and samples for the sequential barrier B.
-func (rt *routerTask) routeTick(e *Engine, nr *nodeRun, dt vtime.Duration) {
-	plan := e.plans[rt.stream]
-	def := e.streams[rt.stream]
-
+// admit decides how many concrete rows this task routes in a tick of
+// length dt, and charges their generation CPU: whatever a wall-clock
+// feed has queued, or what the configured rate offers after the credit
+// throttle, the micro-batch backlog gate and the node's CPU grant.
+func (rt *routerTask) admit(e *Engine, dt vtime.Duration) int {
 	cpu := e.cluster.CPU(rt.node)
-	var n int
 	if rt.feed != nil {
 		// Wall-clock ingest: the rows for this tick are whatever the
 		// feed has queued (bounded), not a function of a configured
@@ -344,783 +496,628 @@ func (rt *routerTask) routeTick(e *Engine, nr *nodeRun, dt vtime.Duration) {
 		// against the node meter but does not clamp n, and the credit
 		// throttle stays idle (its byte counters still reset so a later
 		// detach resumes from a clean slate).
-		n = rt.claimFeed(def.NumCols)
+		n := rt.claimFeed(e.streams[rt.stream].NumCols)
 		if n == 0 {
-			return
+			return 0
 		}
 		rt.tickOffered, rt.tickAccepted = 0, 0
 		rt.offered += float64(n) * e.cfg.TupleWeight
 		cpu.Take(e.cfg.Cost.GenCPU * e.cfg.TupleWeight * float64(n))
-	} else {
-		// Credit-based flow control: the pull rate tracks the fraction of
-		// offered bytes the network actually accepted last tick, smoothed,
-		// with a small additive probe so the rate recovers when capacity
-		// frees up.
-		ratio := 1.0
-		if rt.tickOffered > 0 {
-			ratio = rt.tickAccepted / rt.tickOffered
-		}
-		if ratio < 1 {
-			rt.stalls++
-			if e.obs != nil {
-				e.obs.stallTicks.Inc()
-			}
-		}
-		rt.tickOffered, rt.tickAccepted = 0, 0
-		rt.throttle = 0.7*rt.throttle + 0.3*ratio + 0.02
-		if rt.throttle > 1 {
-			rt.throttle = 1
-		}
-		if rt.throttle < 0.02 {
-			rt.throttle = 0.02
-		}
+		return n
+	}
 
-		// Micro-batch: while the materialized backlog (current batch plus
-		// the previous batch still shuffling) exceeds what the NIC can move
-		// in two batch intervals, stop pulling — the stage cannot keep up
-		// (Prompt's synchronous materialization backpressure).
-		if e.cfg.Profile.MicroBatch {
-			allowance := 2 * e.net.Bandwidth() * e.cfg.Profile.BatchInterval.Seconds()
-			if rt.drainBytes+rt.heldBytes > allowance {
-				rt.offered += rt.rate * dt.Seconds()
-				return
-			}
+	// Credit-based flow control: the pull rate tracks the fraction of
+	// offered bytes the network actually accepted last tick, smoothed,
+	// with a small additive probe so the rate recovers when capacity
+	// frees up.
+	ratio := 1.0
+	if rt.tickOffered > 0 {
+		ratio = rt.tickAccepted / rt.tickOffered
+	}
+	if ratio < 1 {
+		rt.stalls++
+		if e.obs != nil {
+			e.obs.stallTicks.Inc()
 		}
+	}
+	rt.tickOffered, rt.tickAccepted = 0, 0
+	rt.throttle = 0.7*rt.throttle + 0.3*ratio + 0.02
+	if rt.throttle > 1 {
+		rt.throttle = 1
+	}
+	if rt.throttle < 0.02 {
+		rt.throttle = 0.02
+	}
 
-		eff := rt.rate * rt.throttle
-		want := eff*dt.Seconds()/e.cfg.TupleWeight + rt.carry
-		n = int(want)
-		rt.carry = want - float64(n)
-		rt.offered += eff * dt.Seconds()
-		if n == 0 {
-			return
-		}
-
-		// Source CPU: generation cost. If the node is CPU-starved the grant
-		// shrinks and we generate fewer concrete tuples.
-		genNeed := e.cfg.Cost.GenCPU * e.cfg.TupleWeight * float64(n)
-		if e.cfg.Profile.MicroBatch {
-			genNeed += e.cfg.Cost.BatchCPU * e.cfg.TupleWeight * float64(n)
-		}
-		if g := cpu.Take(genNeed); g < genNeed {
-			n = int(float64(n) * g / genNeed)
-			if n == 0 {
-				return
-			}
+	// Micro-batch: while the materialized backlog (current batch plus
+	// the previous batch still shuffling) exceeds what the NIC can move
+	// in two batch intervals, stop pulling — the stage cannot keep up
+	// (Prompt's synchronous materialization backpressure).
+	if e.cfg.Profile.MicroBatch {
+		allowance := 2 * e.net.Bandwidth() * e.cfg.Profile.BatchInterval.Seconds()
+		if rt.drainBytes+rt.heldBytes > allowance {
+			rt.offered += rt.rate * dt.Seconds()
+			return 0
 		}
 	}
 
-	// Per-tick buckets. Non-shared: one per (class, slot). Shared: one
-	// per slot, with per-tuple class bitmasks. Dense slice indexing
-	// replaces the per-tuple map lookups that used to dominate the
-	// router profile; the entries come from the engine free list with
-	// their tuple-slice capacity intact, so a steady-state tick
-	// allocates nothing here.
-	nb := e.cfg.NumPartitions
-	if !e.cfg.Shared {
-		nb = len(plan.classes) * e.cfg.NumPartitions
-	}
-	if cap(rt.buckets) < nb {
-		rt.buckets = make([]*entry, nb)
-	}
-	rt.buckets = rt.buckets[:nb]
-	rt.usedKeys = rt.usedKeys[:0]
-
-	begin := e.clock.Add(-dt)
-	step := vtime.Duration(int64(dt) / int64(n))
-
-	// Lane-layout policy: exact windows and micro-batch profiles need
-	// per-row lanes (concrete state / row-granular drain splitting);
-	// everything else rides the folded classRun layout, where slots
-	// meter and fold whole runs instead of rows.
-	nc := len(plan.classes)
-	rowLanes := e.cfg.ExactWindows || e.cfg.Profile.MicroBatch
-	numCols := def.NumCols
-	laneCols := 0
-	if e.cfg.ExactWindows {
-		laneCols = numCols
-	}
-	shared := e.cfg.Shared
-	sampling := e.sampler != nil
-
-	// Block size: scratch is strided by bs, blocks carry at most bs rows.
-	bs := e.cfg.BatchSize
-	if bs <= 0 {
-		bs = 64
-	}
-	if bs > n {
-		bs = n
-	}
-	if cap(rt.keyScr) < bs {
-		rt.keyScr = make([]uint64, bs)
-	}
-	rt.keyScr = rt.keyScr[:bs]
-	if need := nc * bs; cap(rt.slotScr) < need {
-		rt.slotScr = make([]int32, need)
-		rt.grpScr = make([]int32, need)
-	}
-	rt.slotScr = rt.slotScr[:nc*bs]
-	rt.grpScr = rt.grpScr[:nc*bs]
-	if cap(rt.accScr) < bs {
-		rt.accScr = make([]uint64, bs)
-	}
-	rt.accScr = rt.accScr[:bs]
-	ng := e.cfg.NumGroups
-	np := e.cfg.NumPartitions
-	if !rowLanes {
-		if ncg := nc * ng; len(rt.runAcc) < ncg {
-			rt.runAcc = make([]runCell, ncg)
-		} else {
-			cells := rt.runAcc[:ncg]
-			for i := range cells {
-				cells[i] = runCell{}
-			}
-		}
-	}
-	if shared {
-		if len(rt.slotN) < np {
-			rt.slotN = make([]int32, np)
-			rt.slotXQ = make([]int32, np)
-		} else {
-			for i := 0; i < np; i++ {
-				rt.slotN[i] = 0
-				rt.slotXQ[i] = 0
-			}
-		}
-	}
-	if cap(rt.memCnt) < nc {
-		rt.memCnt = make([]int32, nc)
-		rt.accCnt = make([]int64, nc)
-	}
-	rt.memCnt = rt.memCnt[:nc]
-	rt.accCnt = rt.accCnt[:nc]
-	hasFilter, checkAcc := false, false
-	for ci, rc := range plan.classes {
-		rt.memCnt[ci] = int32(len(rc.members))
-		rt.accCnt[ci] = 0
-		if rc.filter != nil {
-			hasFilter, checkAcc = true, true
-		} else if rc.sel < 1 {
-			checkAcc = true
-		}
+	eff := rt.rate * rt.throttle
+	want := eff*dt.Seconds()/e.cfg.TupleWeight + rt.carry
+	n := int(want)
+	rt.carry = want - float64(n)
+	rt.offered += eff * dt.Seconds()
+	if n == 0 {
+		return 0
 	}
 
-	// Identical-key class dedup (folded layouts): two classes that key
-	// on the same columns, accept every row, and route groups to the
-	// same slots accumulate byte-identical per-(class, group) run cells
-	// — a common shape when several queries aggregate and join on one
-	// partitioning column. Classify once per twin set; the flat cells
-	// (and, in shared mode, the per-block slot lane) are copied instead
-	// of re-hashed. Disabled while sampling: the sampler stages the
-	// per-class group lane, which a skipped pass would leave stale.
-	if cap(rt.dupOf) < nc {
-		rt.dupOf = make([]int32, nc)
+	// Source CPU: generation cost. If the node is CPU-starved the grant
+	// shrinks and we generate fewer concrete tuples.
+	genNeed := e.cfg.Cost.GenCPU * e.cfg.TupleWeight * float64(n)
+	if e.cfg.Profile.MicroBatch {
+		genNeed += e.cfg.Cost.BatchCPU * e.cfg.TupleWeight * float64(n)
 	}
-	rt.dupOf = rt.dupOf[:nc]
-	for ci := range rt.dupOf {
-		rt.dupOf[ci] = -1
+	if g := cpu.Take(genNeed); g < genNeed {
+		n = int(float64(n) * g / genNeed)
 	}
-	if !rowLanes && !sampling && nc > 1 {
-		slotLane := shared // merge pass reads the slot lane per class
-		for ci, rc := range plan.classes {
-			if rc.filter != nil || rc.sel < 1 {
-				continue
-			}
-		candidates:
-			for cj := 0; cj < ci; cj++ {
-				pc := plan.classes[cj]
-				if pc.filter != nil || pc.sel < 1 || rt.dupOf[cj] >= 0 {
-					continue
-				}
-				if len(rc.key) != len(pc.key) {
-					continue
-				}
-				for i := range rc.key {
-					if rc.key[i] != pc.key[i] {
-						continue candidates
-					}
-				}
-				if slotLane {
-					if len(rc.route) != len(pc.route) {
-						continue
-					}
-					for g := range rc.route {
-						if rc.route[g] != pc.route[g] {
-							continue candidates
-						}
-					}
-				}
-				rt.dupOf[ci] = int32(cj)
-				break
-			}
-		}
-	}
+	return n
+}
 
-	// Two-class fusion: the dominant folded shape — two single-column
-	// route classes over one stream (an aggregate plus a join side, or
-	// two aggregates on different columns), power-of-two groups, every
-	// row accepted. One pass per block advances both accumulator chains
-	// together: the chains are independent, so the superscalar core
-	// overlaps them, and the row-index moments are computed once for
-	// both.
-	fuse2 := !rowLanes && !sampling && !checkAcc && nc == 2 &&
-		e.space.Mask() != 0 &&
-		len(plan.classes[0].key) == 1 && len(plan.classes[1].key) == 1 &&
-		rt.dupOf[1] < 0
+// bind sizes the task's scratch for a plan it has not routed under
+// yet — the only place the tick path allocates. Every tick leaves the
+// scratch clean, so a rebind inherits zeroes and nil buckets.
+func (rt *routerTask) bind(plan *streamPlan) {
+	nc, bs := len(plan.classes), plan.batch
+	rt.bound = plan
+	rt.buckets = fit(rt.buckets, plan.buckets)
+	rt.blk.Resize(bs, plan.numCols)
+	rt.keyScr = fit(rt.keyScr, bs)
+	rt.accScr = fit(rt.accScr, bs)
+	rt.slotScr = fit(rt.slotScr, nc*bs)
+	rt.grpScr = fit(rt.grpScr, nc*bs)
+	rt.accCnt = fit(rt.accCnt, nc)
+	if !plan.rowLanes {
+		rt.runAcc = fit(rt.runAcc, nc*plan.groups)
+	}
+	if plan.shared {
+		rt.slotN = fit(rt.slotN, plan.slots)
+		rt.slotXQ = fit(rt.slotXQ, plan.slots)
+	}
+}
 
+// fit returns s with length n, reallocating only when it must grow.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// routeTick generates and routes this task's tuples for one tick of
+// length dt ending at e.clock, executing the stream's compiled plan.
+// Runs in the parallel router phase: it touches only task/node-local
+// state plus read-only engine state, and stages its sends and samples
+// for the sequential barrier B.
+func (rt *routerTask) routeTick(e *Engine, nr *nodeRun, dt vtime.Duration) {
+	n := rt.admit(e, dt)
+	if n == 0 {
+		return
+	}
+	plan := e.plans[rt.stream]
+	if rt.bound != plan {
+		rt.bind(plan)
+	}
 	src := rt.src
 	if rt.feed != nil {
 		src = &rt.fc
 	}
 	rt.rows += int64(n)
-	for lo := 0; lo < n; lo += bs {
-		m := n - lo
-		if m > bs {
-			m = bs
+
+	begin := e.clock.Add(-dt)
+	step := vtime.Duration(int64(dt) / int64(n))
+	blk := &rt.blk
+	for lo := 0; lo < n; lo += plan.batch {
+		m := min(plan.batch, n-lo)
+		if blk.Len() != m { // only the ragged last block, and the one after it
+			blk.Resize(m, plan.numCols)
 		}
-		blk := &rt.blk
-		blk.Resize(m, numCols)
-		ts := blk.TS
-		t := begin.Add(vtime.Duration(lo) * step)
-		for r := 0; r < m; r++ {
+		ts, t := blk.TS, begin.Add(vtime.Duration(lo)*step)
+		for r := range ts {
 			ts[r] = t
 			t = t.Add(step)
 		}
 		src.NextBlock(blk, 0, m)
 
-		// Acceptance and sampling prepass — row-major, classes ascending
-		// within a row: exactly the RNG draw order of tuple-at-a-time
-		// execution, so outputs are byte-identical at every batch size.
-		// Skipped entirely when every class accepts everything and no
-		// sampler is attached.
 		rt.sampScr = rt.sampScr[:0]
-		if checkAcc || sampling {
-			tt := &rt.shim
-			for r := 0; r < m; r++ {
-				bits := ^uint64(0)
-				if checkAcc {
-					bits = 0
-					if hasFilter {
-						blk.RowTuple(tt, r, numCols)
-					}
-					for ci, rc := range plan.classes {
-						ok := true
-						if rc.filter != nil {
-							ok = rc.filter(tt)
-						} else if rc.sel < 1 {
-							ok = rt.rng.Float64() < rc.sel
-						}
-						if ok {
-							bits |= 1 << uint(ci)
-						}
-					}
-				}
-				rt.accScr[r] = bits
-				if sampling && rt.gate.next() {
-					rt.sampScr = append(rt.sampScr, int32(r))
-				}
-			}
+		if plan.checkAcc || plan.sampling {
+			rt.prepass(plan, m)
 		}
-
-		// Classification: one pass per route class over the whole block —
-		// one KeyOfBlock sweep, then a scatter. Folded layouts only bump
-		// the flat per-(class, group) run accumulators; row-lane layouts
-		// record slots for the shared merge pass below or scatter rows
-		// straight into non-shared buckets.
-		if fuse2 {
-			rc0, rc1 := plan.classes[0], plan.classes[1]
-			col0 := blk.Col[rc0.key[0]][:m]
-			col1 := blk.Col[rc1.key[0]][:m]
-			cells0 := rt.runAcc[:ng]
-			cells1 := rt.runAcc[ng : ng+ng]
-			gi := int64(lo)
-			if shared {
-				// The merge pass reads both slot lanes.
-				sl0 := rt.slotScr[:m]
-				sl1 := rt.slotScr[bs : bs+m]
-				route0, route1 := rc0.route, rc1.route
-				for r := 0; r < m; r++ {
-					g0 := int(keyspace.Mix64(uint64(col0[r]))) & (len(cells0) - 1)
-					g1 := int(keyspace.Mix64(uint64(col1[r]))) & (len(cells1) - 1)
-					sl0[r] = int32(route0[g0])
-					sl1[r] = int32(route1[g1])
-					q := gi * gi
-					c0, c1 := &cells0[g0], &cells1[g1]
-					c0.k++
-					c0.si += gi
-					c0.si2 += q
-					c1.k++
-					c1.si += gi
-					c1.si2 += q
-					gi++
-				}
-			} else {
-				for r := 0; r < m; r++ {
-					g0 := int(keyspace.Mix64(uint64(col0[r]))) & (len(cells0) - 1)
-					g1 := int(keyspace.Mix64(uint64(col1[r]))) & (len(cells1) - 1)
-					q := gi * gi
-					c0, c1 := &cells0[g0], &cells1[g1]
-					c0.k++
-					c0.si += gi
-					c0.si2 += q
-					c1.k++
-					c1.si += gi
-					c1.si2 += q
-					gi++
-				}
-			}
-			rt.accCnt[0] += int64(m)
-			rt.accCnt[1] += int64(m)
-		} else {
-			for ci, rc := range plan.classes {
-				bit := uint64(1) << uint(ci)
-				sl := rt.slotScr[ci*bs : ci*bs+m]
-				if dj := int(rt.dupOf[ci]); dj >= 0 {
-					// Twin of an earlier class this tick: reuse its slot
-					// lane; the run cells are copied once at tick end.
-					if shared && nc > 1 {
-						copy(sl, rt.slotScr[dj*bs:dj*bs+m])
-					}
-					continue
-				}
-				gr := rt.grpScr[ci*bs : ci*bs+m]
-				route := rc.route
-				acc := int64(0)
-				switch {
-				case !rowLanes:
-					// The merge pass only needs per-row slots when distinct
-					// classes could target distinct slots of one row.
-					needSlot := shared && nc > 1
-					base := ci * ng
-					lo64 := int64(lo)
-					runAcc := rt.runAcc
-					if mask := e.space.Mask(); mask != 0 && !sampling {
-						// Power-of-two group count: fold the hash into the
-						// accumulate loop — no group lane round trip. Not
-						// while sampling: the sampler stages the per-class
-						// group lane, which this path does not fill.
-						// cells is exactly the group space of this class, so
-						// len(cells)-1 == mask and masking with it both picks
-						// the group and proves the index in range (no bounds
-						// check in the hot loop).
-						var keys []uint64
-						if len(rc.key) == 1 {
-							// A single-column key IS the raw lane —
-							// uint64(x) of an int64 is a bit
-							// reinterpretation — so fold the column in
-							// place instead of copying it through the key
-							// scratch.
-							col := blk.Col[rc.key[0]]
-							keys = unsafe.Slice((*uint64)(unsafe.Pointer(&col[0])), m)
-						} else {
-							rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
-							keys = rt.keyScr[:m]
-						}
-						cells := runAcc[base : base+ng]
-						switch {
-						case !checkAcc && !needSlot:
-							// Every row accepted, slot lane unused (single
-							// class or non-shared): the tightest loop.
-							acc = int64(m)
-							gi := lo64
-							for _, k := range keys {
-								c := &cells[int(keyspace.Mix64(k))&(len(cells)-1)]
-								c.k++
-								c.si += gi
-								c.si2 += gi * gi
-								gi++
-							}
-						case !checkAcc:
-							acc = int64(m)
-							for r, k := range keys {
-								g := int(keyspace.Mix64(k)) & (len(cells) - 1)
-								sl[r] = int32(route[g])
-								gi := lo64 + int64(r)
-								c := &cells[g]
-								c.k++
-								c.si += gi
-								c.si2 += gi * gi
-							}
-						default:
-							for r, k := range keys {
-								if rt.accScr[r]&bit == 0 {
-									if needSlot {
-										sl[r] = -1
-									}
-									continue
-								}
-								g := int(keyspace.Mix64(k)) & (len(cells) - 1)
-								if needSlot {
-									sl[r] = int32(route[g])
-								}
-								acc++
-								gi := lo64 + int64(r)
-								c := &cells[g]
-								c.k++
-								c.si += gi
-								c.si2 += gi * gi
-							}
-						}
-						rt.accCnt[ci] += acc
-						continue
-					}
-					rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
-					e.space.GroupsOfKeys(rt.keyScr[:m], gr)
-					if !checkAcc {
-						// Every row accepted: branch-free accumulate.
-						acc = int64(m)
-						for r := 0; r < m; r++ {
-							g := int(gr[r])
-							if needSlot {
-								sl[r] = int32(route[g])
-							}
-							gi := lo64 + int64(r)
-							c := &runAcc[base+g]
-							c.k++
-							c.si += gi
-							c.si2 += gi * gi
-						}
-					} else {
-						for r := 0; r < m; r++ {
-							if rt.accScr[r]&bit == 0 {
-								if needSlot {
-									sl[r] = -1
-								}
-								continue
-							}
-							g := int(gr[r])
-							if needSlot {
-								sl[r] = int32(route[g])
-							}
-							acc++
-							gi := lo64 + int64(r)
-							c := &runAcc[base+g]
-							c.k++
-							c.si += gi
-							c.si2 += gi * gi
-						}
-					}
-				case shared:
-					// Row lanes, shared: record routes only; the merge pass
-					// dedups physical copies and fills the lanes.
-					rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
-					e.space.GroupsOfKeys(rt.keyScr[:m], gr)
-					for r := 0; r < m; r++ {
-						if checkAcc && rt.accScr[r]&bit == 0 {
-							sl[r] = -1
-							continue
-						}
-						sl[r] = int32(route[gr[r]])
-						acc++
-					}
-				default:
-					// Row lanes, non-shared: scatter rows straight into the
-					// per-(class, slot) buckets.
-					rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
-					e.space.GroupsOfKeys(rt.keyScr[:m], gr)
-					for r := 0; r < m; r++ {
-						if checkAcc && rt.accScr[r]&bit == 0 {
-							sl[r] = -1
-							continue
-						}
-						g := keyspace.GroupID(gr[r])
-						p := int(route[g])
-						sl[r] = int32(p)
-						acc++
-						bk := ci*np + p
-						b := rt.buckets[bk]
-						if b == nil {
-							b = nr.newEntry()
-							b.kind, b.stream, b.slot = entryData, rt.stream, p
-							b.class, b.epoch, b.plan = rc, e.epoch, plan
-							rt.buckets[bk] = b
-							rt.usedKeys = append(rt.usedKeys, bk)
-						}
-						b.blk.TS = append(b.blk.TS, ts[r])
-						for c := 0; c < laneCols; c++ {
-							b.blk.Col[c] = append(b.blk.Col[c], blk.Col[c][r])
-						}
-						b.groups = append(b.groups, keyspace.GroupID(g))
-						b.n++
-					}
-				}
-				rt.accCnt[ci] += acc
-			}
+		switch plan.classify {
+		case classifyFused:
+			rt.classifyFused(plan, lo, m)
+		case classifyGeneric:
+			rt.classifyGeneric(e, plan, lo, m)
+		case classifyRowShared:
+			rt.classifyRowShared(e, plan, m)
+		case classifyRowScatter:
+			rt.classifyRowScatter(e, nr, plan, m)
 		}
-
-		// Shared merge pass: collect the distinct target slots across
-		// classes per row; one physical copy per distinct slot (the green
-		// tuples of Fig. 1c). Folded layouts only tally physical rows and
-		// wire overhead into the flat per-slot counters (a single-class
-		// stream needs no pass at all — flush derives both from the runs);
-		// row-lane buckets also take the row, its class bitmask and its
-		// per-class group lane.
-		switch {
-		case shared && !rowLanes && nc == 2 && !checkAcc:
-			// Two classes, everything accepted — the common sharing pair.
-			m0, m1 := rt.memCnt[0], rt.memCnt[1]
-			sl0 := rt.slotScr[:m]
-			sl1 := rt.slotScr[bs : bs+m]
-			slotN, slotXQ := rt.slotN, rt.slotXQ
-			for r := 0; r < m; r++ {
-				p0, p1 := sl0[r], sl1[r]
-				if p0 == p1 {
-					slotN[p0]++
-					slotXQ[p0] += m0 + m1 - 1
-					continue
-				}
-				slotN[p0]++
-				slotN[p1]++
-				if m0 > 1 {
-					slotXQ[p0] += m0 - 1
-				}
-				if m1 > 1 {
-					slotXQ[p1] += m1 - 1
-				}
-			}
-		case shared && !rowLanes && nc > 1:
-			var slotTmp [maxClassesPerStream]int32
-			var memTmp [maxClassesPerStream]int32
-			for r := 0; r < m; r++ {
-				nd := 0
-				for ci := 0; ci < nc; ci++ {
-					p := rt.slotScr[ci*bs+r]
-					if p < 0 {
-						continue
-					}
-					found := -1
-					for j := 0; j < nd; j++ {
-						if slotTmp[j] == p {
-							found = j
-							break
-						}
-					}
-					if found < 0 {
-						slotTmp[nd] = p
-						memTmp[nd] = rt.memCnt[ci]
-						nd++
-					} else {
-						memTmp[found] += rt.memCnt[ci]
-					}
-				}
-				for j := 0; j < nd; j++ {
-					p := slotTmp[j]
-					rt.slotN[p]++
-					if q := int(memTmp[j]); q > 1 {
-						// The query-set encoding adds a few bytes per
-						// extra query served by this copy.
-						rt.slotXQ[p] += int32(q - 1)
-					}
-				}
-			}
-		case shared && rowLanes:
-			var slotTmp [maxClassesPerStream]int32
-			var bitTmp [maxClassesPerStream]uint64
-			var memTmp [maxClassesPerStream]int32
-			for r := 0; r < m; r++ {
-				nd := 0
-				for ci := 0; ci < nc; ci++ {
-					p := rt.slotScr[ci*bs+r]
-					if p < 0 {
-						continue
-					}
-					found := -1
-					for j := 0; j < nd; j++ {
-						if slotTmp[j] == p {
-							found = j
-							break
-						}
-					}
-					if found < 0 {
-						slotTmp[nd] = p
-						bitTmp[nd] = 1 << uint(ci)
-						memTmp[nd] = rt.memCnt[ci]
-						nd++
-					} else {
-						bitTmp[found] |= 1 << uint(ci)
-						memTmp[found] += rt.memCnt[ci]
-					}
-					bk := int(p)
-					b := rt.buckets[bk]
-					if b == nil {
-						b = nr.newEntry()
-						b.kind, b.stream, b.shared = entryData, rt.stream, true
-						b.slot, b.epoch, b.plan = bk, e.epoch, plan
-						rt.buckets[bk] = b
-						rt.usedKeys = append(rt.usedKeys, bk)
-					}
-					b.groups = append(b.groups, keyspace.GroupID(rt.grpScr[ci*bs+r]))
-				}
-				for j := 0; j < nd; j++ {
-					b := rt.buckets[slotTmp[j]]
-					b.n++
-					if q := int(memTmp[j]); q > 1 {
-						b.extraQ += q - 1
-					}
-					b.blk.TS = append(b.blk.TS, ts[r])
-					for c := 0; c < laneCols; c++ {
-						b.blk.Col[c] = append(b.blk.Col[c], blk.Col[c][r])
-					}
-					b.classBits = append(b.classBits, bitTmp[j])
-				}
-			}
+		switch plan.merge {
+		case mergePair:
+			rt.mergePair(plan, m)
+		case mergeFolded:
+			rt.mergeFolded(plan, m)
+		case mergeRowLanes:
+			rt.mergeRowLanes(e, nr, plan, m)
 		}
-
-		// Stage this block's samples for barrier B: the sampler is
-		// engine-global, so the call itself must wait for the sequential
-		// merge. Row-major, classes ascending — batch-invariant.
-		for _, sr := range rt.sampScr {
-			r := int(sr)
-			bits := rt.accScr[r]
-			ns := 0
-			for ci := 0; ci < nc; ci++ {
-				if bits&(1<<uint(ci)) == 0 {
-					continue
-				}
-				rt.sampClass = append(rt.sampClass, ci)
-				rt.sampGroup = append(rt.sampGroup, keyspace.GroupID(rt.grpScr[ci*bs+r]))
-				ns++
-			}
-			if ns > 0 {
-				rt.sampTS = append(rt.sampTS, ts[r])
-				rt.sampLen = append(rt.sampLen, ns)
-			}
+		if len(rt.sampScr) > 0 {
+			rt.stageSamples(plan)
 		}
 	}
 	if rt.feed != nil {
 		rt.releaseFeed()
 	}
+	if !plan.rowLanes {
+		rt.flushRuns(e, nr, plan)
+	}
+	rt.account(e, plan)
 
-	// Materialize the folded buckets: scan the run accumulators in
-	// (class, group) order — the canonical order consumers fold in — so
-	// every entry's run list is born sorted, independent of how the tick
-	// was blocked, with no per-entry sort pass.
-	if !rowLanes {
-		// Settle the twin classes skipped by the dedup: their flat run
-		// cells are the root class's, copied once per tick. Ascending
-		// order guarantees the root (always a lower index) is final.
-		for ci := range plan.classes {
-			if dj := int(rt.dupOf[ci]); dj >= 0 {
-				copy(rt.runAcc[ci*ng:ci*ng+ng], rt.runAcc[dj*ng:dj*ng+ng])
-				rt.accCnt[ci] = rt.accCnt[dj]
+	// Deterministic ship order: bucket fill order must not leak into
+	// network acceptance decisions, so entries ship in key order (slot
+	// order in shared mode, class-major in non-shared mode).
+	for k, en := range rt.buckets {
+		if en == nil {
+			continue
+		}
+		rt.buckets[k] = nil
+		en.tsBegin, en.tsStep = begin, step
+		rt.emit(e, nr, plan.sendOf(e, en))
+	}
+}
+
+// openBucket starts the entry for a dense route key first touched this
+// tick. The entries come from the node's free list with their slice
+// capacity intact, so a steady-state tick allocates nothing here.
+func (rt *routerTask) openBucket(e *Engine, nr *nodeRun, plan *streamPlan, bk, slot int, rc *routeClass) *entry {
+	b := nr.newEntry()
+	b.kind, b.slot = entryData, slot
+	b.epoch, b.plan = e.epoch, plan
+	if !plan.shared {
+		b.class = rc
+	}
+	rt.buckets[bk] = b
+	return b
+}
+
+// prepass fills the acceptance lane and picks the block's sampled rows
+// — row-major, classes ascending within a row: exactly the RNG draw
+// order of tuple-at-a-time execution, so outputs are byte-identical at
+// every batch size.
+func (rt *routerTask) prepass(plan *streamPlan, m int) {
+	tt, classes := &rt.shim, plan.classes
+	checkAcc, hasFilter, sampling := plan.checkAcc, plan.hasFilter, plan.sampling
+	for r := 0; r < m; r++ {
+		bits := ^uint64(0)
+		if checkAcc {
+			bits = 0
+			if hasFilter {
+				rt.blk.RowTuple(tt, r, plan.numCols)
+			}
+			for ci, rc := range classes {
+				ok := true
+				if rc.filter != nil {
+					ok = rc.filter(tt)
+				} else if rc.sel < 1 {
+					ok = rt.rng.Float64() < rc.sel
+				}
+				if ok {
+					bits |= 1 << uint(ci)
+				}
 			}
 		}
-		for ci, rc := range plan.classes {
-			base := ci * ng
-			route := rc.route
-			for g := 0; g < ng; g++ {
-				cell := rt.runAcc[base+g]
-				if cell.k == 0 {
+		rt.accScr[r] = bits
+		if sampling && rt.gate.next() {
+			rt.sampScr = append(rt.sampScr, int32(r))
+		}
+	}
+}
+
+// classifyFused is the folded classification for power-of-two group
+// counts: one pass per class that hashes, picks the run cell and bumps
+// it — no group lane round trip. cells is exactly the group space of
+// the class, so len(cells)-1 is the group mask and masking with it both
+// picks the group and proves the index in range (no bounds check in the
+// hot loops).
+func (rt *routerTask) classifyFused(plan *streamPlan, lo, m int) {
+	ng, bs, lo64 := plan.groups, plan.batch, int64(lo)
+	checkAcc, needSlot := plan.checkAcc, plan.needSlot
+	for ci, rc := range plan.classes {
+		var keys []uint64
+		if len(rc.key) == 1 {
+			// A single-column key IS the raw lane — uint64(x) of an int64
+			// is a bit reinterpretation — so fold the column in place
+			// instead of copying it through the key scratch.
+			col := rt.blk.Col[rc.key[0]]
+			keys = unsafe.Slice((*uint64)(unsafe.Pointer(&col[0])), m)
+		} else {
+			rc.key.KeyOfBlock(&rt.blk, 0, m, rt.keyScr)
+			keys = rt.keyScr[:m]
+		}
+		cells := rt.runAcc[ci*ng : ci*ng+ng]
+		sl := rt.slotScr[ci*bs : ci*bs+m]
+		route := rc.route
+		acc := int64(m)
+		switch {
+		case !checkAcc && !needSlot:
+			// Every row accepted, slot lane unused (single class or
+			// non-shared): the tightest loop.
+			gi := lo64
+			for _, k := range keys {
+				c := &cells[int(keyspace.Mix64(k))&(len(cells)-1)]
+				c.k++
+				c.si += gi
+				c.si2 += gi * gi
+				gi++
+			}
+		case !checkAcc:
+			for r, k := range keys {
+				g := int(keyspace.Mix64(k)) & (len(cells) - 1)
+				sl[r] = int32(route[g])
+				gi := lo64 + int64(r)
+				c := &cells[g]
+				c.k++
+				c.si += gi
+				c.si2 += gi * gi
+			}
+		default:
+			acc = 0
+			bit := uint64(1) << uint(ci)
+			for r, k := range keys {
+				if rt.accScr[r]&bit == 0 {
+					if needSlot {
+						sl[r] = -1
+					}
 					continue
 				}
-				p := int(route[g])
-				bk := p
-				if !shared {
-					bk = ci*np + p
+				g := int(keyspace.Mix64(k)) & (len(cells) - 1)
+				if needSlot {
+					sl[r] = int32(route[g])
 				}
-				b := rt.buckets[bk]
-				if b == nil {
-					b = nr.newEntry()
-					b.kind, b.stream, b.slot = entryData, rt.stream, p
-					b.epoch, b.plan = e.epoch, plan
-					if shared {
-						b.shared = true
-					} else {
-						b.class = rc
-					}
-					rt.buckets[bk] = b
-					rt.usedKeys = append(rt.usedKeys, bk)
-				}
-				b.runs = append(b.runs, classRun{
-					class: int32(ci), group: keyspace.GroupID(g),
-					k: cell.k, si: cell.si, si2: cell.si2,
-				})
-				if !shared {
-					b.n += int(cell.k)
-				}
+				acc++
+				gi := lo64 + int64(r)
+				c := &cells[g]
+				c.k++
+				c.si += gi
+				c.si2 += gi * gi
 			}
 		}
-		if shared {
-			if nc == 1 {
-				// Single class: every run row is its own physical copy,
-				// and every copy serves the same member set.
-				mem0 := int(rt.memCnt[0])
-				for _, bk := range rt.usedKeys {
-					b := rt.buckets[bk]
-					n := 0
-					for i := range b.runs {
-						n += int(b.runs[i].k)
-					}
-					b.n = n
-					if mem0 > 1 {
-						b.extraQ = (mem0 - 1) * n
-					}
-				}
-			} else {
-				for _, bk := range rt.usedKeys {
-					b := rt.buckets[bk]
-					b.n = int(rt.slotN[bk])
-					b.extraQ = int(rt.slotXQ[bk])
-				}
-			}
-		}
+		rt.accCnt[ci] += acc
 	}
+}
 
-	// Routing CPU and ground-truth sharing accounting, folded once per
-	// tick from the integer per-class acceptance counts: how many copies
-	// the queries demanded vs how many physically ship (Fig. 1d vs 1e —
-	// the 16-vs-10 tuples of the paper's example).
-	routeAcc, demand := int64(0), int64(0)
-	for ci := range plan.classes {
-		routeAcc += rt.accCnt[ci]
-		demand += rt.accCnt[ci] * int64(rt.memCnt[ci])
+// classifyGeneric is the folded classification through a group lane:
+// one KeyOfBlock sweep and one GroupsOfKeys sweep per class, then the
+// run cells (and, for a multi-class shared plan, the slot lane) in a
+// third. Works at any group count and leaves the group lane for the
+// sampler.
+func (rt *routerTask) classifyGeneric(e *Engine, plan *streamPlan, lo, m int) {
+	ng, bs, lo64 := plan.groups, plan.batch, int64(lo)
+	needSlot := plan.needSlot
+	for ci, rc := range plan.classes {
+		sl := rt.slotScr[ci*bs : ci*bs+m]
+		gr := rt.grpScr[ci*bs : ci*bs+m]
+		rc.key.KeyOfBlock(&rt.blk, 0, m, rt.keyScr)
+		e.space.GroupsOfKeys(rt.keyScr[:m], gr)
+		cells := rt.runAcc[ci*ng : ci*ng+ng]
+		route := rc.route
+		acc := int64(m)
+		if !plan.checkAcc {
+			// Every row accepted: branch-free accumulate.
+			for r, g := range gr {
+				if needSlot {
+					sl[r] = int32(route[g])
+				}
+				gi := lo64 + int64(r)
+				c := &cells[g]
+				c.k++
+				c.si += gi
+				c.si2 += gi * gi
+			}
+		} else {
+			acc = 0
+			bit := uint64(1) << uint(ci)
+			for r, g := range gr {
+				if rt.accScr[r]&bit == 0 {
+					if needSlot {
+						sl[r] = -1
+					}
+					continue
+				}
+				if needSlot {
+					sl[r] = int32(route[g])
+				}
+				acc++
+				gi := lo64 + int64(r)
+				c := &cells[g]
+				c.k++
+				c.si += gi
+				c.si2 += gi * gi
+			}
+		}
+		rt.accCnt[ci] += acc
 	}
-	cpu.Take(e.cfg.Cost.RouteCPU * e.cfg.TupleWeight * float64(routeAcc))
-	if shared {
+}
+
+// classifyRowShared records each class's slot and group lanes; the
+// merge pass dedups physical copies and fills the row lanes.
+func (rt *routerTask) classifyRowShared(e *Engine, plan *streamPlan, m int) {
+	bs, checkAcc := plan.batch, plan.checkAcc
+	for ci, rc := range plan.classes {
+		sl := rt.slotScr[ci*bs : ci*bs+m]
+		gr := rt.grpScr[ci*bs : ci*bs+m]
+		rc.key.KeyOfBlock(&rt.blk, 0, m, rt.keyScr)
+		e.space.GroupsOfKeys(rt.keyScr[:m], gr)
+		bit, route := uint64(1)<<uint(ci), rc.route
+		acc := int64(0)
+		for r, g := range gr {
+			if checkAcc && rt.accScr[r]&bit == 0 {
+				sl[r] = -1
+				continue
+			}
+			sl[r] = int32(route[g])
+			acc++
+		}
+		rt.accCnt[ci] += acc
+	}
+}
+
+// classifyRowScatter scatters accepted rows straight into the
+// non-shared per-(class, slot) buckets, lanes and all.
+func (rt *routerTask) classifyRowScatter(e *Engine, nr *nodeRun, plan *streamPlan, m int) {
+	bs, blk, ts := plan.batch, &rt.blk, rt.blk.TS
+	checkAcc, np, laneCols := plan.checkAcc, plan.slots, plan.laneCols
+	for ci, rc := range plan.classes {
+		gr := rt.grpScr[ci*bs : ci*bs+m]
+		rc.key.KeyOfBlock(blk, 0, m, rt.keyScr)
+		e.space.GroupsOfKeys(rt.keyScr[:m], gr)
+		bit, route := uint64(1)<<uint(ci), rc.route
+		acc := int64(0)
+		for r, g := range gr {
+			if checkAcc && rt.accScr[r]&bit == 0 {
+				continue
+			}
+			acc++
+			p := int(route[g])
+			bk := ci*np + p
+			b := rt.buckets[bk]
+			if b == nil {
+				b = rt.openBucket(e, nr, plan, bk, p, rc)
+			}
+			b.blk.TS = append(b.blk.TS, ts[r])
+			for c := 0; c < laneCols; c++ {
+				b.blk.Col[c] = append(b.blk.Col[c], blk.Col[c][r])
+			}
+			b.groups = append(b.groups, keyspace.GroupID(g))
+			b.n++
+		}
+		rt.accCnt[ci] += acc
+	}
+}
+
+// The shared merge passes collect the distinct target slots across
+// classes per row: one physical copy per distinct slot (the green
+// tuples of Fig. 1c), carrying a few bytes of query-set encoding per
+// extra query it serves. Folded layouts only tally physical rows and
+// that overhead into the flat per-slot counters; row-lane buckets also
+// take the row, its class bitmask and its per-class group lane.
+
+// mergePair is the folded merge for two classes that accept every row —
+// the common sharing pair.
+func (rt *routerTask) mergePair(plan *streamPlan, m int) {
+	m0, m1 := plan.mem[0], plan.mem[1]
+	sl0 := rt.slotScr[:m]
+	sl1 := rt.slotScr[plan.batch : plan.batch+m]
+	slotN, slotXQ := rt.slotN, rt.slotXQ
+	for r := 0; r < m; r++ {
+		p0, p1 := sl0[r], sl1[r]
+		if p0 == p1 {
+			slotN[p0]++
+			slotXQ[p0] += m0 + m1 - 1
+			continue
+		}
+		slotN[p0]++
+		slotN[p1]++
+		if m0 > 1 {
+			slotXQ[p0] += m0 - 1
+		}
+		if m1 > 1 {
+			slotXQ[p1] += m1 - 1
+		}
+	}
+}
+
+// mergeFolded is the folded merge for any class count.
+func (rt *routerTask) mergeFolded(plan *streamPlan, m int) {
+	var slotTmp, memTmp [maxClassesPerStream]int32
+	bs := plan.batch
+	for r := 0; r < m; r++ {
+		nd := 0
+		for ci, mem := range plan.mem {
+			p := rt.slotScr[ci*bs+r]
+			if p < 0 {
+				continue
+			}
+			j := 0
+			for j < nd && slotTmp[j] != p {
+				j++
+			}
+			if j == nd {
+				slotTmp[nd], memTmp[nd] = p, 0
+				nd++
+			}
+			memTmp[j] += mem
+		}
+		for j := 0; j < nd; j++ {
+			p := slotTmp[j]
+			rt.slotN[p]++
+			rt.slotXQ[p] += memTmp[j] - 1
+		}
+	}
+}
+
+// mergeRowLanes is the row-lane merge: the same per-row slot dedup,
+// with each distinct slot's bucket taking the row once and every
+// accepting class's group.
+func (rt *routerTask) mergeRowLanes(e *Engine, nr *nodeRun, plan *streamPlan, m int) {
+	var slotTmp, memTmp [maxClassesPerStream]int32
+	var bitTmp [maxClassesPerStream]uint64
+	bs, blk, ts, laneCols := plan.batch, &rt.blk, rt.blk.TS, plan.laneCols
+	for r := 0; r < m; r++ {
+		nd := 0
+		for ci, mem := range plan.mem {
+			p := rt.slotScr[ci*bs+r]
+			if p < 0 {
+				continue
+			}
+			j := 0
+			for j < nd && slotTmp[j] != p {
+				j++
+			}
+			if j == nd {
+				slotTmp[nd], bitTmp[nd], memTmp[nd] = p, 0, 0
+				nd++
+			}
+			bitTmp[j] |= 1 << uint(ci)
+			memTmp[j] += mem
+			b := rt.buckets[p]
+			if b == nil {
+				b = rt.openBucket(e, nr, plan, int(p), int(p), nil)
+			}
+			b.groups = append(b.groups, keyspace.GroupID(rt.grpScr[ci*bs+r]))
+		}
+		for j := 0; j < nd; j++ {
+			b := rt.buckets[slotTmp[j]]
+			b.n++
+			b.extraQ += int(memTmp[j]) - 1
+			b.blk.TS = append(b.blk.TS, ts[r])
+			for c := 0; c < laneCols; c++ {
+				b.blk.Col[c] = append(b.blk.Col[c], blk.Col[c][r])
+			}
+			b.classBits = append(b.classBits, bitTmp[j])
+		}
+	}
+}
+
+// stageSamples stages the block's sampled rows for barrier B: the
+// sampler is engine-global, so the call itself must wait for the
+// sequential merge. Row-major, classes ascending — batch-invariant.
+func (rt *routerTask) stageSamples(plan *streamPlan) {
+	for _, sr := range rt.sampScr {
+		r := int(sr)
+		bits := rt.accScr[r]
+		ns := 0
+		for ci := range plan.classes {
+			if bits&(1<<uint(ci)) == 0 {
+				continue
+			}
+			rt.sampClass = append(rt.sampClass, ci)
+			rt.sampGroup = append(rt.sampGroup, keyspace.GroupID(rt.grpScr[ci*plan.batch+r]))
+			ns++
+		}
+		if ns > 0 {
+			rt.sampTS = append(rt.sampTS, rt.blk.TS[r])
+			rt.sampLen = append(rt.sampLen, ns)
+		}
+	}
+}
+
+// flushRuns materializes the folded buckets: it scans the run
+// accumulators in (class, group) order — the canonical order consumers
+// fold in — so every entry's run list is born sorted, independent of
+// how the tick was blocked, with no per-entry sort pass. Cells and slot
+// tallies are zeroed as they are read.
+func (rt *routerTask) flushRuns(e *Engine, nr *nodeRun, plan *streamPlan) {
+	ng, shared := plan.groups, plan.shared
+	for ci, rc := range plan.classes {
+		cells := rt.runAcc[ci*ng : ci*ng+ng]
+		for g := range cells {
+			cell := cells[g]
+			if cell.k == 0 {
+				continue
+			}
+			cells[g] = runCell{}
+			p := int(rc.route[g])
+			bk := p
+			if !shared {
+				bk = ci*plan.slots + p
+			}
+			b := rt.buckets[bk]
+			if b == nil {
+				b = rt.openBucket(e, nr, plan, bk, p, rc)
+			}
+			b.runs = append(b.runs, classRun{
+				class: int32(ci), group: keyspace.GroupID(g),
+				k: cell.k, si: cell.si, si2: cell.si2,
+			})
+			if !plan.needSlot {
+				// One class per bucket (or per plan): every run row is
+				// its own physical copy.
+				b.n += int(cell.k)
+			}
+		}
+	}
+	if !shared {
+		return
+	}
+	for bk, b := range rt.buckets {
+		if b == nil {
+			continue
+		}
+		if !plan.needSlot {
+			// Single class: every copy serves the same member set.
+			b.extraQ = int(plan.mem[0]-1) * b.n
+			continue
+		}
+		b.n, b.extraQ = int(rt.slotN[bk]), int(rt.slotXQ[bk])
+		rt.slotN[bk], rt.slotXQ[bk] = 0, 0
+	}
+}
+
+// account charges routing CPU and records ground-truth sharing, folded
+// once per tick from the integer per-class acceptance counts: how many
+// copies the queries demanded vs how many physically ship (Fig. 1d vs
+// 1e — the 16-vs-10 tuples of the paper's example).
+func (rt *routerTask) account(e *Engine, plan *streamPlan) {
+	routeAcc, demand := int64(0), int64(0)
+	for ci, mem := range plan.mem {
+		routeAcc += rt.accCnt[ci]
+		demand += rt.accCnt[ci] * int64(mem)
+		rt.accCnt[ci] = 0
+	}
+	e.cluster.CPU(rt.node).Take(e.cfg.Cost.RouteCPU * e.cfg.TupleWeight * float64(routeAcc))
+	if plan.shared {
 		phys := 0
-		for _, k := range rt.usedKeys {
-			phys += rt.buckets[k].n
+		for _, b := range rt.buckets {
+			if b != nil {
+				phys += b.n
+			}
 		}
 		e.metrics.recordSharing(int(rt.node), float64(demand)*e.cfg.TupleWeight, float64(phys)*e.cfg.TupleWeight)
 	}
+}
 
-	// Materialize pending sends; tuple-at-a-time ships immediately,
-	// micro-batch holds them for the boundary. Deterministic ship
-	// order: bucket fill order must not leak into network acceptance
-	// decisions, so the used keys are sorted (slot order in shared
-	// mode, class-major in non-shared mode — the same order the map
-	// version produced).
-	sort.Ints(rt.usedKeys)
-	if shared {
-		for _, k := range rt.usedKeys {
-			en := rt.buckets[k]
-			rt.buckets[k] = nil
-			en.tsBegin, en.tsStep = begin, step
-			// One physical copy; extraQ carries the accumulated
-			// query-set encoding overhead.
-			bytesPer := def.BytesPerTuple * e.cfg.TupleWeight
-			if en.extraQ > 0 && en.n > 0 {
-				bytesPer += float64(en.extraQ) * e.cfg.Cost.SharedOverheadBytes * e.cfg.TupleWeight / float64(en.n)
-			}
-			rt.emit(e, nr, pendingSend{en: en, copies: 1, bytesPer: bytesPer})
-		}
-	} else {
-		for _, k := range rt.usedKeys {
-			en := rt.buckets[k]
-			rt.buckets[k] = nil
-			en.tsBegin, en.tsStep = begin, step
-			rc := en.class
-			// Every member query ships its own copy (Fig. 1a/1b) —
-			// except under AJoin's join-group batching, which
-			// eliminates part of the duplicate traffic of identical
-			// join queries.
-			m := float64(len(rc.members))
-			if frac := e.cfg.Profile.JoinDataShareFrac; frac > 0 && m > 1 && rc.allJoins() {
-				m = 1 + (1-frac)*(m-1)
-			}
-			rt.emit(e, nr, pendingSend{en: en, copies: m, bytesPer: def.BytesPerTuple * e.cfg.TupleWeight * m})
-		}
+// sendOf sizes one materialized entry for the wire. Shared: one
+// physical copy, extraQ carrying the accumulated query-set encoding
+// overhead. Non-shared: the class's copy multiplier.
+func (p *streamPlan) sendOf(e *Engine, en *entry) pendingSend {
+	if !p.shared {
+		m := en.class.copies
+		return pendingSend{en: en, copies: m, bytesPer: p.bytesPer * m}
 	}
+	bytesPer := p.bytesPer
+	if en.extraQ > 0 && en.n > 0 {
+		bytesPer += float64(en.extraQ) * e.cfg.Cost.SharedOverheadBytes * e.cfg.TupleWeight / float64(en.n)
+	}
+	return pendingSend{en: en, copies: 1, bytesPer: bytesPer}
 }
 
 // emit routes one materialized send: tuple-at-a-time profiles stage it
@@ -1227,6 +1224,15 @@ func (rt *routerTask) commit(e *Engine, ps *pendingSend) {
 	e.enqueue(rt, en)
 }
 
+// commitPending settles every staged send, in staging order.
+func (rt *routerTask) commitPending(e *Engine) {
+	for i := range rt.pending {
+		rt.commit(e, &rt.pending[i])
+		rt.pending[i].en = nil
+	}
+	rt.pending = rt.pending[:0]
+}
+
 // deliverSamples hands this task's staged tuple samples to the
 // engine's sampler, in the order they were drawn, and resets the
 // staging buffers (capacity kept).
@@ -1252,69 +1258,6 @@ func (rt *routerTask) deliverSamples(e *Engine) {
 	rt.sampLen = rt.sampLen[:0]
 }
 
-// ship performs serialization CPU and network accounting for one entry
-// and enqueues it on its slot edge. Serialization is sized to what the
-// network can currently accept (no CPU is burned on bytes the queues
-// would refuse); any remaining shortfall scales the entry's weight
-// down, and the acceptance ratio feeds the source throttle. Used by
-// the micro-batch drain path, which runs sequentially at barrier B
-// against authoritative link state, so no stage/commit split needed.
-func (rt *routerTask) ship(e *Engine, ps pendingSend) {
-	en := ps.en
-	cpu := e.cluster.CPU(rt.node)
-	sendBytes := ps.bytesPer * float64(en.n)
-	dstNode := e.placement.PartitionNode(en.slot)
-
-	if e.nodeIsDown(dstNode) {
-		// The slot's node crashed: everything routed at it is lost until
-		// a reconfiguration moves its key groups. The bytes still count
-		// as offered-but-unaccepted, so the source throttle backs off
-		// while the system runs degraded — the sustained throughput dip
-		// the recovery experiment measures.
-		rt.tickOffered += sendBytes
-		e.lostBytes += sendBytes
-		e.nodes[rt.node].recycle(en)
-		return
-	}
-
-	f := 1.0
-	if dstNode != rt.node {
-		// Only remote traffic feeds the throttle: shared-memory
-		// handoffs cannot be refused.
-		rt.tickOffered += sendBytes
-		// Size the send to the network's headroom and the receiver's
-		// ingress buffer first…
-		avail := e.net.Available(rt.node, dstNode)
-		if room := e.sendRoom(dstNode); room < avail {
-			avail = room
-		}
-		if sendBytes > avail {
-			f = avail / sendBytes
-		}
-		// …then to the serialization CPU actually available.
-		serNeed := e.cfg.Cost.SerCPU * e.cfg.TupleWeight * float64(en.n) * ps.copies * f
-		if serNeed > 0 {
-			if g := cpu.Take(serNeed); g < serNeed {
-				f *= g / serNeed
-			}
-		}
-	}
-	acc, delay := e.net.Send(rt.node, dstNode, sendBytes*f)
-	if offered := sendBytes * f; offered > 0 {
-		f *= acc / offered
-	}
-	en.scale = f
-	en.copies = ps.copies
-	en.bytes = sendBytes * f
-	en.arriveAt = e.clock.Add(delay)
-	en.watermark = e.clock.Add(-e.cfg.WatermarkLag)
-	rt.accepted += f * e.cfg.TupleWeight * float64(en.n) * ps.copies
-	if dstNode != rt.node {
-		rt.tickAccepted += sendBytes * f
-	}
-	e.enqueue(rt, en)
-}
-
 // flushHeld moves the batch buffered at a micro-batch boundary into
 // the drain queue; shipDraining paces it onto the network.
 func (rt *routerTask) flushHeld(e *Engine) {
@@ -1335,7 +1278,7 @@ func (rt *routerTask) shipDraining(e *Engine) {
 		bytes := ps.bytesPer * float64(ps.en.n)
 		dst := e.placement.PartitionNode(ps.en.slot)
 		// A dead destination must not wedge the drain behind its zero
-		// headroom: ship() destroys the send and the drain moves on.
+		// headroom: stage destroys the send and the drain moves on.
 		if dst != rt.node && !e.nodeIsDown(dst) {
 			avail := e.net.Available(rt.node, dst)
 			if room := e.sendRoom(dst); room < avail {
@@ -1346,13 +1289,13 @@ func (rt *routerTask) shipDraining(e *Engine) {
 				k := int(avail / ps.bytesPer)
 				if k > 0 {
 					head := splitSend(&rt.draining[i], k)
-					rt.ship(e, head)
+					rt.shipNow(e, head)
 					rt.drainBytes -= head.bytesPer * float64(head.en.n)
 				}
 				break
 			}
 		}
-		rt.ship(e, ps)
+		rt.shipNow(e, ps)
 		rt.drainBytes -= bytes
 	}
 	if i > 0 {
@@ -1361,6 +1304,21 @@ func (rt *routerTask) shipDraining(e *Engine) {
 	if len(rt.draining) == 0 && rt.drainBytes != 0 {
 		rt.drainBytes = 0 // clamp float residue
 	}
+}
+
+// shipNow sends one entry of the micro-batch drain, which runs at
+// barrier B against authoritative link state: stage with no provisional
+// claims outstanding sizes the send to exactly what commit will find,
+// so the two back to back are one immediate send. A send destroyed at a
+// dead destination is tallied at once, in drain order.
+func (rt *routerTask) shipNow(e *Engine, ps pendingSend) {
+	nr := e.nodes[rt.node]
+	nr.provEg = 0
+	clear(nr.provIn)
+	rt.stage(e, nr, ps)
+	e.lostBytes += nr.lostBytes
+	nr.lostBytes = 0
+	rt.commitPending(e)
 }
 
 // splitSend carves the first k rows of a pending send into a new send,
@@ -1382,7 +1340,7 @@ func splitSend(ps *pendingSend, k int) pendingSend {
 	}
 	head.n, src.n = k, src.n-k
 	gk := k
-	if src.shared && src.classBits != nil {
+	if src.plan.shared && src.classBits != nil {
 		gk = 0
 		for i := 0; i < k; i++ {
 			gk += bits.OnesCount64(src.classBits[i])
@@ -1412,16 +1370,6 @@ func (rt *routerTask) heartbeat(e *Engine) {
 		en.epoch = e.epoch
 		e.enqueue(rt, en)
 	}
-}
-
-// allJoins reports whether every member of the class is a join query.
-func (rc *routeClass) allJoins() bool {
-	for _, m := range rc.members {
-		if m.q.spec.Kind != OpJoin {
-			return false
-		}
-	}
-	return true
 }
 
 // SampleVec is one sampled tuple's key-group vector: for every route

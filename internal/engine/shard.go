@@ -103,10 +103,10 @@ func (nr *nodeRun) recycle(en *entry) {
 	// slice of the tick on the hot path. TestRecycleResetsEveryField
 	// walks the struct by reflection, so a field added to entry without
 	// a reset here fails the suite instead of leaking stale state.
-	en.kind, en.stream, en.slot = 0, 0, 0
+	en.kind, en.slot = 0, 0
 	en.arriveAt, en.watermark, en.epoch = 0, 0, 0
 	en.bytes = 0
-	en.plan, en.class, en.shared, en.n = nil, nil, false, 0
+	en.plan, en.class, en.n = nil, nil, 0
 	blk := &en.blk
 	blk.TS = blk.TS[:0]
 	for c := range blk.Col {
@@ -235,17 +235,6 @@ func (e *Engine) TickStats() TickStats { return e.tickStats }
 // budget) so suites and benchmarks can force goroutines onto ticks too
 // small to earn them; 0 restores the rule. Nothing under cmd/ calls it.
 func (e *Engine) PinTickWorkers(n int) { e.pinnedWorkers = n }
-
-// WorkerCell is a PinTickWorkers value and a parallel.SetBudget budget.
-type WorkerCell struct{ Pinned, Budget int }
-
-// WorkerGrid is the one grid the worker-count-invariance suites replay
-// over, sequential reference first: pinned 4 without budget degrades to
-// inline, pinned 2 and 4 with budget run real goroutines, and unpinned
-// puts the rule itself under the byte-identity check.
-func WorkerGrid() []WorkerCell {
-	return []WorkerCell{{1, 0}, {4, 0}, {2, 4}, {4, 4}, {0, 4}}
-}
 
 // acquireWorkers resolves this tick's worker count. Ticks whose phases
 // have been costing less than forkJoinCost run inline without touching
@@ -525,11 +514,7 @@ func (e *Engine) routerMerge(boundary bool) {
 			continue
 		}
 		rt.deliverSamples(e)
-		for i := range rt.pending {
-			rt.commit(e, &rt.pending[i])
-			rt.pending[i].en = nil
-		}
-		rt.pending = rt.pending[:0]
+		rt.commitPending(e)
 		if boundary {
 			rt.flushHeld(e)
 		}

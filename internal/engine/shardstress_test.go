@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"saspar/internal/enginetest"
 	"saspar/internal/keyspace"
 	"saspar/internal/parallel"
 	"saspar/internal/vtime"
@@ -22,14 +23,14 @@ import (
 // the race detector coverage of the slot/router phases (scripts/ci.sh
 // runs this package under -race).
 func TestShardedChurnStress(t *testing.T) {
-	for _, cell := range WorkerGrid() {
+	for _, cell := range enginetest.WorkerGrid() {
 		t.Run(fmt.Sprintf("pinned%d-budget%d", cell.Pinned, cell.Budget), func(t *testing.T) {
 			churnStress(t, cell)
 		})
 	}
 }
 
-func churnStress(t *testing.T, cell WorkerCell) {
+func churnStress(t *testing.T, cell enginetest.WorkerCell) {
 	parallel.SetBudget(cell.Budget)
 	defer parallel.SetBudget(-1)
 

@@ -49,7 +49,6 @@ type classRun struct {
 //     its rows as before.
 type entry struct {
 	kind      entryKind
-	stream    StreamID
 	slot      int
 	arriveAt  vtime.Time
 	watermark vtime.Time
@@ -60,9 +59,8 @@ type entry struct {
 	bytes float64
 
 	// Data payload.
-	plan      *streamPlan        // routing-time plan snapshot (shared mode)
+	plan      *streamPlan        // routing-time plan snapshot: layout, sharing, classes
 	class     *routeClass        // non-shared: the single class
-	shared    bool               // shared: classBits identify classes per tuple
 	n         int                // concrete rows carried
 	blk       TupleBlock         // row lanes (row-lane layout only)
 	classBits []uint64           // per row (shared mode, row-lane layout)
@@ -288,7 +286,7 @@ func (s *slot) entryCPU(e *Engine, en *entry) float64 {
 	w := e.cfg.TupleWeight * en.scale
 	n := float64(en.n)
 	var need float64
-	if en.shared {
+	if en.plan.shared {
 		need += c.DeserCPU * w * n // one physical copy
 		if en.runs != nil {
 			// Folded layout: one opCPU evaluation per class run instead
@@ -301,7 +299,7 @@ func (s *slot) entryCPU(e *Engine, en *entry) float64 {
 				r := &en.runs[i]
 				if r.class != li {
 					li = r.class
-					op = s.opCPU(e, plan.classes[li], w)
+					op = plan.classes[li].opCPU(w)
 				}
 				need += op * float64(r.k)
 			}
@@ -319,37 +317,14 @@ func (s *slot) entryCPU(e *Engine, en *entry) float64 {
 				// which is exactly the bookkeeping the paper's JIT step
 				// exists to avoid ("query indexing for each tuple",
 				// Section III).
-				need += s.opCPU(e, rc, w)
+				need += rc.opCPU(w)
 			}
 		}
 	} else {
 		need += c.DeserCPU * w * n * en.copies
-		need += s.opCPU(e, en.class, w) * n
+		need += en.class.opCPU(w) * n
 	}
 	return need
-}
-
-// opCPU is the post-partition operator cost of one tuple of weight w
-// for every member of a route class.
-func (s *slot) opCPU(e *Engine, rc *routeClass, w float64) float64 {
-	c := &e.cfg.Cost
-	m := float64(len(rc.members))
-	q0 := rc.members[0].q.spec
-	if q0.Kind == OpJoin {
-		eff := m
-		if e.cfg.Profile.SharedJoinCompute && m > 1 {
-			// AJoin: the join work for similar queries runs once, with a
-			// small per-extra-query bookkeeping cost.
-			eff = 1 + 0.1*(m-1)
-		}
-		per := c.JoinCPU * e.cfg.Profile.joinCPUFactor()
-		fan := q0.JoinFanout
-		if fan <= 0 {
-			fan = 0.25
-		}
-		return w * eff * (per + c.EmitCPU*fan)
-	}
-	return w * m * c.AggCPU
 }
 
 // consume applies an entry to this slot's operator state. The caller
@@ -367,12 +342,9 @@ func (s *slot) consume(e *Engine, nr *nodeRun, en *entry) {
 		s.consumeRuns(e, en, w)
 		return
 	}
-	cols := 0
-	if e.cfg.ExactWindows {
-		cols = e.streams[en.stream].NumCols
-	}
+	cols := en.plan.laneCols
 	var t Tuple
-	if en.shared {
+	if en.plan.shared {
 		plan := en.plan
 		off := 0
 		for i := 0; i < en.n; i++ {
@@ -410,7 +382,7 @@ func (s *slot) consumeRuns(e *Engine, en *entry, w float64) {
 	for i := range en.runs {
 		r := &en.runs[i]
 		rc := en.class
-		if en.shared {
+		if en.plan.shared {
 			rc = en.plan.classes[r.class]
 		}
 		g := r.group

@@ -204,11 +204,14 @@ func TestLoadBalancingPreventsSinglePartitionCollapse(t *testing.T) {
 
 func TestGapToleranceStopsEarly(t *testing.T) {
 	in := randInstance(7, 3, 8, 4)
-	exact, err := Solve(in, Options{TimeBudget: 5 * time.Second})
+	// Both arms walk the same tree under the same node cap — no clock —
+	// so the loose one can only stop earlier, on an earlier incumbent.
+	const maxNodes = 200000
+	exact, err := Solve(in, Options{MaxNodes: maxNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Solve(in, Options{RelGap: 0.5})
+	loose, err := Solve(in, Options{RelGap: 0.5, MaxNodes: maxNodes})
 	if err != nil {
 		t.Fatal(err)
 	}

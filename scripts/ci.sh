@@ -32,9 +32,13 @@
 #                      TestFedLoopTicksThroughSolve and
 #                      TestStaleResultsAreDropped, internal/runtime's
 #                      TestServeIngestsThroughSolves),
-#                      and the elastic autoscaling policy
+#                      the elastic autoscaling policy
 #                      (internal/elastic) whose decisions the pooled
-#                      determinism grid replays under sharded execution
+#                      determinism grid replays under sharded execution,
+#                      and the branch-and-bound solver (internal/mip)
+#                      that the solve goroutine runs, whose tests are
+#                      bounded by node caps and not by the clock so the
+#                      detector's slowdown cannot fail them
 #   go test -fuzz ...  short smoke over the native fuzz targets —
 #                      keyspace subset remap/anchor math, mip model
 #                      ingestion, the SPSC ring against a model queue,
@@ -76,7 +80,7 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/parallel/ ./internal/optimizer/ ./internal/obs/ ./internal/faults/ ./internal/aqe/ ./internal/checkpoint/ ./internal/engine/ ./internal/core/ ./internal/runtime/ ./internal/elastic/
+go test -race ./internal/parallel/ ./internal/optimizer/ ./internal/obs/ ./internal/faults/ ./internal/aqe/ ./internal/checkpoint/ ./internal/engine/ ./internal/core/ ./internal/runtime/ ./internal/elastic/ ./internal/mip/
 
 echo "== go test -fuzz (smoke)"
 go test -run '^$' -fuzz FuzzSubsetRemap -fuzztime 10s ./internal/keyspace/
