@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"testing"
 
 	"saspar/internal/checkpoint"
@@ -75,24 +72,13 @@ func runElasticFingerprint(t *testing.T, cell enginetest.WorkerCell, withCrash b
 	}
 
 	rep := s.Snapshot()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range s.Trace() {
-		fmt.Fprintln(&buf, ev)
-	}
-	if err := cfg.Obs.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
+	fp := fingerprint(t, s)
 	scenario := "elastic"
 	if withCrash {
 		scenario = "elastic-crash"
 	}
-	checkGolden(t, scenario, buf.Bytes())
-	return buf.Bytes(), rep
+	checkGolden(t, scenario, fp)
+	return fp, rep
 }
 
 func TestGoldenTraceDeterminismUnderElasticity(t *testing.T) {

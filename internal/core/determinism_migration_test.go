@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -86,26 +83,15 @@ func runMigrationFingerprint(t *testing.T, mode string, cell enginetest.WorkerCe
 	s.Engine().Metrics().StopMeasurement(s.Engine().Clock())
 
 	rep := s.Snapshot()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range s.Trace() {
-		fmt.Fprintln(&buf, ev)
-	}
-	if err := cfg.Obs.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "migration/"+mode, buf.Bytes())
+	fp := fingerprint(t, s)
+	checkGolden(t, "migration/"+mode, fp)
 
 	var results []engine.AggResult
 	for qi := 0; qi < s.Engine().NumQueries(); qi++ {
 		results = append(results, s.Engine().Results(qi)...)
 	}
 	engine.SortAggResults(results)
-	return buf.Bytes(), rep, results
+	return fp, rep, results
 }
 
 func TestGoldenTraceDeterminismAcrossMigrationModes(t *testing.T) {

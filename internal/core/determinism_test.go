@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -102,24 +101,13 @@ func runFingerprint(t *testing.T, kind spe.Kind, cell enginetest.WorkerCell, bat
 	m.StopMeasurement(s.Engine().Clock())
 
 	rep := s.Snapshot()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range s.Trace() {
-		fmt.Fprintln(&buf, ev)
-	}
-	if err := cfg.Obs.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
+	fp := fingerprint(t, s)
 	scenario := "plain/" + kind.String()
 	if withFaults {
 		scenario = "faults/" + kind.String()
 	}
-	checkGolden(t, scenario, buf.Bytes())
-	return buf.Bytes(), rep
+	checkGolden(t, scenario, fp)
+	return fp, rep
 }
 
 // diffLine locates the first line two fingerprints disagree on, for a

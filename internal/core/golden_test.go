@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -18,7 +20,7 @@ import (
 // keyed by GOARCH (fused multiply-add changes float bits across
 // architectures); regenerate with
 //
-//	go test ./internal/core -run 'GoldenTrace|MigrationStaged' -update
+//	go test ./internal/core -run 'GoldenTrace|MigrationStaged|MidStageCrash' -update
 //
 // only in a change that means to move the fingerprint.
 
@@ -74,4 +76,24 @@ func checkGolden(t *testing.T, scenario string, fp []byte) {
 	if got != want {
 		t.Fatalf("scenario %q fingerprint sha256 %s, golden %s: output moved against history", scenario, got, want)
 	}
+}
+
+// fingerprint is what every digest hashes: the JSON Report, the
+// control-plane event trace and the Prometheus metrics dump of a system
+// built with cfg.Obs set.
+func fingerprint(t *testing.T, s *System) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range s.Trace() {
+		fmt.Fprintln(&buf, ev)
+	}
+	if err := s.cfg.Obs.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

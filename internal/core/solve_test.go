@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"saspar/internal/checkpoint"
 	"saspar/internal/cluster"
 	"saspar/internal/engine"
 	"saspar/internal/faults"
@@ -326,5 +327,101 @@ func TestUnfedTriggerJoinsSolver(t *testing.T) {
 	}
 	if snap.Applied+snap.SkippedPlans+boolToInt(s.Controller().Busy()) != 1 {
 		t.Fatalf("joined round reached no decision: %+v", snap)
+	}
+}
+
+// With the solver failing, a mandatory movement — the evacuation after
+// a crash, the evacuation a drain needs — still happens, as the
+// last-resort spread: only key groups on the masked nodes move, queries
+// that shared an assignment object still share one, the episode
+// completes, and nothing is left staged.
+func TestSolverFailureFallsBackToSpread(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engCfg engine.Config
+		cfg    func() Config
+		// setup runs the system up to the point where the solver goes down;
+		// finish runs it through the movement and checks it completed.
+		setup, finish func(t *testing.T, s *System)
+		masked        []cluster.NodeID
+		// sharing: the setup leaves the queries on one assignment object.
+		sharing bool
+	}{
+		{"crash", faultEngineConfig(), func() Config {
+			// solveCfg's first round installs a plan at 2 s, so the queries
+			// share one assignment object by the time node 3 dies.
+			cfg := solveCfg()
+			cfg.FaultScenario = faults.Crash(3, vtime.Time(5*vtime.Second))
+			cfg.Checkpoint = checkpoint.Config{Interval: vtime.Second}
+			return cfg
+		}, func(t *testing.T, s *System) {
+			s.Engine().SetStreamRate(0, 20000)
+			if err := s.Run(4 * vtime.Second); err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, s *System) {
+			if err := s.Run(8 * vtime.Second); err != nil {
+				t.Fatal(err)
+			}
+			if snap := s.Snapshot(); snap.Recoveries != 1 || snap.RecoveryPending || snap.Applied == 0 {
+				t.Fatalf("recovery did not complete through AQE: %+v", snap)
+			}
+		}, []cluster.NodeID{3}, true},
+		{"drain", elasticEngineConfig(), func() Config {
+			cfg := elasticCoreConfig()
+			cfg.Opt = optimizer.Options{DeterministicBudget: true, MaxNodes: 20000}
+			cfg.Checkpoint = checkpoint.Config{Interval: 4 * vtime.Second}
+			return cfg
+		}, func(t *testing.T, s *System) {
+			s.Engine().SetStreamRate(0, 60000)
+			if err := s.Run(12 * vtime.Second); err != nil {
+				t.Fatal(err)
+			}
+			if s.Snapshot().ElasticJoins == 0 {
+				t.Fatal("flash crowd joined no node; nothing to drain")
+			}
+			// The rebalance onto the joined node aligns only once the
+			// flash crowd's backlog has drained, tens of seconds later.
+			s.Engine().SetStreamRate(0, 200)
+			tickUntil(t, s, 600, "post-join rebalance never completed", func() bool { return !s.Controller().Busy() })
+			if snap := s.Snapshot(); snap.ElasticDrains != 0 || snap.ElasticDraining {
+				t.Fatalf("a drain began before the solver went down: %+v", snap)
+			}
+		}, func(t *testing.T, s *System) {
+			if err := s.Run(40 * vtime.Second); err != nil {
+				t.Fatal(err)
+			}
+			if snap := s.Snapshot(); snap.ElasticDrains != snap.ElasticJoins || snap.ElasticDraining || snap.LiveNodes != 4 || snap.LostBytes != 0 {
+				t.Fatalf("drains did not complete cleanly: %+v", snap)
+			}
+		}, []cluster.NodeID{4, 5}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.engCfg, []engine.StreamDef{skewedStream()}, sameKeyQueries(4), tc.cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.setup(t, s)
+			if s.Controller().Busy() {
+				t.Fatal("a reconfiguration is still in flight; the before-picture would be of a plan on its way out")
+			}
+			var down solverDown
+			s.solve = down.solve
+			rounds := s.Snapshot().Optimizations
+			before, shared := partitionsOf(s.eng)
+			if tc.sharing && !(shared[1] && shared[2]) {
+				t.Fatal("same-key queries do not share an assignment object; the sharing check is vacuous")
+			}
+			tc.finish(t, s)
+			if down.calls == 0 || s.Snapshot().Optimizations != rounds {
+				t.Fatalf("solver consulted %d times, rounds %d -> %d; want it asked and nothing counted",
+					down.calls, rounds, s.Snapshot().Optimizations)
+			}
+			assertOnlyMaskedMoved(t, s.eng, before, shared, tc.masked...)
+			if s.Controller().Busy() || s.mig.active || s.eng.StagedCells() != 0 {
+				t.Fatalf("episode left open: phase %v, stage armed %v, %d staged cells",
+					s.Controller().Phase(), s.mig.active, s.eng.StagedCells())
+			}
+		})
 	}
 }
