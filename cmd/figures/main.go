@@ -121,65 +121,15 @@ func compareBench(sc bench.Scale, baselinePath string, tolPct float64) error {
 
 func run(sc bench.Scale, fig string) error {
 	w := os.Stdout
-	switch fig {
-	case "":
+	if fig == "" {
 		return bench.RunAll(sc, w)
-	case "6":
-		cells, err := bench.Fig6(sc)
-		if err != nil {
-			return err
+	}
+	for _, sec := range bench.Sections(sc) {
+		if sec.Fig == fig {
+			return sec.Run(w)
 		}
-		bench.PrintFig6(w, cells)
-	case "7":
-		cells, err := bench.Fig6(sc)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig7(w, cells)
-	case "8":
-		rows, err := bench.Fig8(sc)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig8a(w, rows)
-		fmt.Fprintln(w)
-		bench.PrintFig8b(w, rows)
-	case "9":
-		rows, err := bench.Fig9(sc)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig9(w, rows)
-	case "10":
-		rows, err := bench.Fig10(sc)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig10(w, rows)
-	case "11":
-		rows, err := bench.Fig11(sc)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig11(w, rows)
-	case "12a":
-		rows, err := bench.Fig12a(sc)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig12a(w, rows)
-	case "12b":
-		rows, err := bench.Fig12b(sc)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig12b(w, rows)
-	case "13":
-		rows, err := bench.Fig13(sc)
-		if err != nil {
-			return err
-		}
-		bench.PrintFig13(w, rows)
+	}
+	switch fig {
 	case "greedy":
 		rows, err := bench.Greedy(sc)
 		if err != nil {

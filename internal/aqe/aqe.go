@@ -22,10 +22,9 @@ type Phase int
 const (
 	// Idle: no reconfiguration in flight.
 	Idle Phase = iota
-	// Staging: checkpoint state is pre-shipping to the migration
-	// destinations; markers are injected once the staged transfers land
-	// (BeginStaged's readyAt). Processing continues undisturbed — no
-	// marker is in flight yet, so nothing aligns or pauses.
+	// Staging: the markers are held until Begin's readyAt, while
+	// checkpoint state pre-ships to the migration destinations. No marker
+	// is in flight yet, so nothing aligns or pauses.
 	Staging
 	// Reconfiguring: markers and moved state are in flight (steps 1-4).
 	Reconfiguring
@@ -48,26 +47,37 @@ func (p Phase) String() string {
 	}
 }
 
+// Event is what one Poll did: the caller is told, and has nothing to
+// infer from Phase and Applied.
+type Event int
+
+const (
+	None     Event = iota // nothing changed this tick
+	Injected              // the held markers went out (Staging → Reconfiguring)
+	Aligned               // steps 1-4 completed; the finalize round was broadcast
+	Done                  // the finalize round drained; the reconfiguration is applied
+	Dropped               // the held plan went stale and was not injected: idle again, nothing moved
+)
+
 // Controller sequences reconfigurations on one engine. Poll it from the
 // simulation loop; it never blocks and never stops the query plan.
 type Controller struct {
 	eng   *engine.Engine
 	phase Phase
 
-	epochBefore   int64 // engine epoch when Begin was called
+	epochBefore   int64 // engine epoch when the markers were injected
 	reconfigEpoch int64 // epoch of the in-flight reconfiguration
 	finalizeEpoch int64
 
 	applied int // completed reconfigurations
 
-	// Staged-migration state: the assignment set waiting for its
-	// pre-staged checkpoint transfers to land, and the virtual instant
-	// the slowest transfer arrives (markers inject then).
-	stagedAssign map[int]*keyspace.Assignment
-	stageReady   vtime.Time
+	// The assignment set whose markers are held (Staging), and the
+	// virtual instant they go out.
+	held    map[int]*keyspace.Assignment
+	readyAt vtime.Time
 
-	// beganAt timestamps protocol start (Begin/BeginStaged), injectedAt
-	// the marker injection (== beganAt for unstaged runs), alignedAt the
+	// beganAt timestamps protocol start (Begin), injectedAt the marker
+	// injection (== beganAt unless the markers were held), alignedAt the
 	// alignment completion; lastAlign is the most recently completed
 	// reconfiguration's injection→alignment span — the processing pause
 	// the migration figure measures. All maintained unconditionally so
@@ -107,8 +117,12 @@ func (c *Controller) Applied() int { return c.applied }
 
 // Begin starts the protocol for a new assignment set. Assignments equal
 // to the current ones are dropped; if nothing changes the controller
-// stays idle and returns false.
-func (c *Controller) Begin(newAssign map[int]*keyspace.Assignment) (bool, error) {
+// stays idle and returns false. The markers go out at readyAt: not
+// after the clock, that is within this call (pause-and-transfer — a
+// stage with nothing on the wire); later, they are held in Staging while
+// the caller's pre-shipped snapshot state lands, so that alignment meets
+// a warm destination and ships only the residual.
+func (c *Controller) Begin(newAssign map[int]*keyspace.Assignment, readyAt vtime.Time) (bool, error) {
 	if c.phase != Idle {
 		return false, fmt.Errorf("aqe: controller busy (%v)", c.phase)
 	}
@@ -123,65 +137,47 @@ func (c *Controller) Begin(newAssign map[int]*keyspace.Assignment) (bool, error)
 	if len(changed) == 0 {
 		return false, nil
 	}
-	// Record the pre-injection epoch only once injection succeeds: a
-	// failed Begin must leave the controller exactly as it found it, or
-	// a stale epochBefore would corrupt the lazy epoch resolution of the
-	// next reconfiguration.
+	now := c.eng.Clock()
+	if readyAt > now {
+		c.held, c.readyAt = changed, readyAt
+		c.phase = Staging
+	} else if err := c.inject(changed, obs.I("moved_groups", int64(movedGroups))); err != nil {
+		return false, err
+	}
+	c.beganAt = now
+	return true, nil
+}
+
+// inject sends the markers for changed and enters Reconfiguring; detail
+// is the align_start event's second attribute. A failed injection
+// leaves the controller exactly as it found it: a stale epochBefore
+// would corrupt the lazy epoch resolution of the next reconfiguration.
+func (c *Controller) inject(changed map[int]*keyspace.Assignment, detail obs.KV) error {
 	epochBefore := c.eng.Epoch()
 	if err := c.eng.InjectReconfig(changed); err != nil {
-		return false, err
+		return err
 	}
 	c.epochBefore = epochBefore
 	c.phase = Reconfiguring
-	c.reconfigEpoch = 0 // resolved on first Poll (micro-batch defers the epoch bump)
-	c.beganAt = c.eng.Clock()
-	c.injectedAt = c.beganAt
+	c.reconfigEpoch = 0 // resolved on the next Poll (micro-batch defers the epoch bump)
+	c.injectedAt = c.eng.Clock()
 	if c.obs != nil {
-		c.obs.Emit(c.beganAt, obs.EvAlignStart,
-			obs.I("queries", int64(len(changed))),
-			obs.I("moved_groups", int64(movedGroups)))
+		c.obs.Emit(c.injectedAt, obs.EvAlignStart, obs.I("queries", int64(len(changed))), detail)
 	}
-	return true, nil
+	return nil
 }
 
-// BeginStaged starts a checkpoint-staged reconfiguration: the caller
-// has already pre-shipped snapshot state to the migration destinations
-// (landing at readyAt, the slowest transfer), and the controller holds
-// the markers back until then so alignment meets a warm destination
-// and ships only the residual. Processing is untouched during Staging —
-// no marker exists yet, so no edge blocks. Like Begin, assignments
-// equal to the current ones are dropped; returns false when nothing
-// would change.
-func (c *Controller) BeginStaged(newAssign map[int]*keyspace.Assignment, readyAt vtime.Time) (bool, error) {
-	if c.phase != Idle {
-		return false, fmt.Errorf("aqe: controller busy (%v)", c.phase)
-	}
-	changed := map[int]*keyspace.Assignment{}
-	for qi, a := range newAssign {
-		if d := c.eng.Assignment(qi).Diff(a); len(d) > 0 {
-			changed[qi] = a
-		}
-	}
-	if len(changed) == 0 {
-		return false, nil
-	}
-	c.stagedAssign = changed
-	c.stageReady = readyAt
-	c.phase = Staging
-	c.beganAt = c.eng.Clock()
-	return true, nil
-}
-
-// AbortStage cancels a staged reconfiguration before its markers went
-// out (a crash mid-stage voids the stage; the caller falls back to
-// pause-and-transfer). A no-op in any other phase: once markers are in
+// AbortStage cancels a reconfiguration whose markers are still held (a
+// crash mid-stage voids the stage; the caller re-plans) and reports
+// whether there was one. A no-op in any other phase: once markers are in
 // flight the protocol must run to completion.
-func (c *Controller) AbortStage() {
+func (c *Controller) AbortStage() bool {
 	if c.phase != Staging {
-		return
+		return false
 	}
-	c.stagedAssign = nil
+	c.held = nil
 	c.phase = Idle
+	return true
 }
 
 // LastAlignDuration reports the injection→alignment span of the most
@@ -189,46 +185,34 @@ func (c *Controller) AbortStage() {
 // staged-migration figure compares across transfer modes.
 func (c *Controller) LastAlignDuration() vtime.Duration { return c.lastAlign }
 
-// Poll advances the controller; call it once per simulation tick.
-func (c *Controller) Poll() {
+// Poll advances the controller and reports what that did; call it once
+// per simulation tick.
+func (c *Controller) Poll() Event {
 	switch c.phase {
-	case Idle:
-		return
 	case Staging:
-		if c.eng.Clock() < c.stageReady {
-			return // staged transfers still on the wire
+		now := c.eng.Clock()
+		if now < c.readyAt {
+			return None // staged transfers still on the wire
 		}
-		// Pre-staged state has landed: inject the markers. Epoch handling
-		// mirrors Begin — record the pre-injection epoch only on success.
-		epochBefore := c.eng.Epoch()
-		changed := c.stagedAssign
-		c.stagedAssign = nil
-		if err := c.eng.InjectReconfig(changed); err != nil {
-			// The plan went stale while staging (e.g. a partition count
-			// change); revert to Idle. The control layer detects the abort
-			// (controller idle, Applied unchanged) and voids the stage.
+		changed := c.held
+		c.held = nil
+		if err := c.inject(changed, obs.F("stage_ms", msSince(c.beganAt, now))); err != nil {
+			// The plan went stale while its markers were held (e.g. a
+			// partition count change).
 			c.phase = Idle
-			return
+			return Dropped
 		}
-		c.epochBefore = epochBefore
-		c.phase = Reconfiguring
-		c.reconfigEpoch = 0 // resolved on next Poll, as in Begin
-		c.injectedAt = c.eng.Clock()
-		if c.obs != nil {
-			c.obs.Emit(c.injectedAt, obs.EvAlignStart,
-				obs.I("queries", int64(len(changed))),
-				obs.F("stage_ms", msSince(c.beganAt, c.injectedAt)))
-		}
+		return Injected
 	case Reconfiguring:
 		if c.reconfigEpoch == 0 {
 			if e := c.eng.Epoch(); e > c.epochBefore {
 				c.reconfigEpoch = e
 			} else {
-				return // micro-batch: waiting for the boundary
+				return None // micro-batch: waiting for the boundary
 			}
 		}
 		if !c.eng.ReconfigComplete(c.reconfigEpoch) {
-			return
+			return None
 		}
 		// Steps 1-4 done: broadcast the finalize round.
 		c.eng.InjectFinalize()
@@ -239,9 +223,10 @@ func (c *Controller) Poll() {
 			c.obs.Emit(c.alignedAt, obs.EvAlignComplete,
 				obs.F("align_ms", msSince(c.beganAt, c.alignedAt)))
 		}
+		return Aligned
 	case Finalizing:
 		if !c.eng.ReconfigComplete(c.finalizeEpoch) {
-			return
+			return None
 		}
 		c.phase = Idle
 		c.applied++
@@ -252,7 +237,9 @@ func (c *Controller) Poll() {
 			c.obs.Emit(now, obs.EvReconfigDone,
 				obs.F("total_ms", msSince(c.beganAt, now)))
 		}
+		return Done
 	}
+	return None
 }
 
 // msSince reports the virtual-time span from..to in milliseconds.

@@ -1,6 +1,7 @@
 package aqe
 
 import (
+	"reflect"
 	"testing"
 
 	"saspar/internal/engine"
@@ -65,7 +66,7 @@ func TestFullProtocolLifecycle(t *testing.T) {
 	c := New(e)
 	e.Run(2 * vtime.Second)
 
-	started, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)})
+	started, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, 0)
 	if err != nil || !started {
 		t.Fatalf("Begin: started=%v err=%v", started, err)
 	}
@@ -87,7 +88,7 @@ func TestFullProtocolLifecycle(t *testing.T) {
 func TestBeginNoChangeStaysIdle(t *testing.T) {
 	e := testEngine(t, false)
 	c := New(e)
-	started, err := c.Begin(map[int]*keyspace.Assignment{0: e.Assignment(0).Clone()})
+	started, err := c.Begin(map[int]*keyspace.Assignment{0: e.Assignment(0).Clone()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +101,10 @@ func TestBeginWhileBusyErrors(t *testing.T) {
 	e := testEngine(t, false)
 	c := New(e)
 	e.Run(vtime.Second)
-	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}); err != nil {
+	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}); err == nil {
+	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, 0); err == nil {
 		t.Fatal("second Begin while busy did not error")
 	}
 }
@@ -112,7 +113,7 @@ func TestMicroBatchDeferredEpochResolution(t *testing.T) {
 	e := testEngine(t, true)
 	c := New(e)
 	e.Run(2500 * vtime.Millisecond) // mid-batch
-	started, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)})
+	started, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, 0)
 	if err != nil || !started {
 		t.Fatalf("Begin: %v %v", started, err)
 	}
@@ -143,7 +144,7 @@ func TestBeginInjectionFailureLeavesControllerReusable(t *testing.T) {
 	// Complete one reconfiguration so the engine epoch (2 after
 	// finalize) differs from the controller's recorded epochBefore (0) —
 	// otherwise the stale write would be invisible.
-	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}); err != nil {
+	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	drive(t, e, c, 200)
@@ -158,7 +159,7 @@ func TestBeginInjectionFailureLeavesControllerReusable(t *testing.T) {
 	for g := 0; g < bad.NumGroups(); g++ {
 		bad.Set(keyspace.GroupID(g), keyspace.PartitionID(e.Config().NumPartitions))
 	}
-	started, err := c.Begin(map[int]*keyspace.Assignment{0: bad})
+	started, err := c.Begin(map[int]*keyspace.Assignment{0: bad}, 0)
 	if err == nil || started {
 		t.Fatalf("out-of-range assignment accepted: started=%v err=%v", started, err)
 	}
@@ -170,7 +171,7 @@ func TestBeginInjectionFailureLeavesControllerReusable(t *testing.T) {
 	}
 
 	// The controller must still run a full protocol round afterwards.
-	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}); err != nil {
+	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, 0); err != nil {
 		t.Fatalf("Begin after failed injection: %v", err)
 	}
 	drive(t, e, c, 200)
@@ -184,7 +185,7 @@ func TestSequentialReconfigurations(t *testing.T) {
 	c := New(e)
 	e.Run(vtime.Second)
 	for round := 0; round < 3; round++ {
-		if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}); err != nil {
+		if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, 0); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		drive(t, e, c, 200)
@@ -194,5 +195,61 @@ func TestSequentialReconfigurations(t *testing.T) {
 	}
 	if c.Applied() != 3 {
 		t.Fatalf("applied = %d, want 3", c.Applied())
+	}
+}
+
+// Poll tells its caller what it did: a held Begin reports nothing until
+// readyAt, then each transition exactly once, in protocol order.
+func TestPollReportsEachTransition(t *testing.T) {
+	e := testEngine(t, false)
+	c := New(e)
+	e.Run(vtime.Second)
+	readyAt := e.Clock().Add(3 * e.Config().Tick)
+	started, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, readyAt)
+	if err != nil || !started || c.Phase() != Staging {
+		t.Fatalf("held Begin: started=%v err=%v phase=%v", started, err, c.Phase())
+	}
+	var seen []Event
+	for i := 0; i < 200 && c.Busy(); i++ {
+		e.Run(e.Config().Tick)
+		ev := c.Poll()
+		if e.Clock() < readyAt && (ev != None || c.Phase() != Staging) {
+			t.Fatalf("at %v, before readyAt %v: event %v, phase %v", e.Clock(), readyAt, ev, c.Phase())
+		}
+		if ev != None {
+			seen = append(seen, ev)
+		}
+	}
+	if want := []Event{Injected, Aligned, Done}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("events %v, want %v", seen, want)
+	}
+	if c.Applied() != 1 || c.Poll() != None {
+		t.Fatalf("after Done: applied=%d", c.Applied())
+	}
+}
+
+// A held plan that cannot be injected any more is dropped: the caller
+// is told, and the controller is idle and reusable.
+func TestHeldPlanGoneStaleIsDropped(t *testing.T) {
+	e := testEngine(t, false)
+	c := New(e)
+	e.Run(vtime.Second)
+	bad := e.Assignment(0).Clone()
+	for g := 0; g < bad.NumGroups(); g++ {
+		bad.Set(keyspace.GroupID(g), keyspace.PartitionID(e.Config().NumPartitions))
+	}
+	if started, err := c.Begin(map[int]*keyspace.Assignment{0: bad}, e.Clock().Add(e.Config().Tick)); err != nil || !started {
+		t.Fatalf("held Begin: started=%v err=%v", started, err)
+	}
+	e.Run(e.Config().Tick)
+	if ev := c.Poll(); ev != Dropped || c.Busy() || c.Applied() != 0 {
+		t.Fatalf("stale held plan: event %v, phase %v, applied %d; want Dropped, idle, 0", ev, c.Phase(), c.Applied())
+	}
+	if _, err := c.Begin(map[int]*keyspace.Assignment{0: rotated(e)}, 0); err != nil {
+		t.Fatalf("Begin after a dropped stage: %v", err)
+	}
+	drive(t, e, c, 200)
+	if c.Busy() || c.Applied() != 1 {
+		t.Fatalf("controller not reusable after a dropped stage: phase=%v applied=%d", c.Phase(), c.Applied())
 	}
 }

@@ -14,13 +14,10 @@ import (
 // an isolated virtual-time simulation, so the only permissible
 // difference between worker counts is wall clock.
 //
-// Two sections are masked before comparison because they are not
-// deterministic between ANY two runs, sequential or not: Fig. 8
-// prints measured solver wall clock (and its budget-capped accuracy
-// column depends on it), and Fig. 12a attributes optimizations to
-// cascade steps under a real CPU budget. Everything else — every
-// throughput, latency, reshuffle, sharing and ML number — is compared
-// exactly.
+// The sections RunAll marks WallClock are left out of the comparison —
+// they differ between any two runs — and run once, as the smoke they
+// have nowhere else. Everything else — every throughput, latency,
+// reshuffle, sharing and ML number — is compared exactly.
 func TestParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute harness comparison")
@@ -35,18 +32,29 @@ func TestParallelEquivalence(t *testing.T) {
 	// differ between ANY two runs, parallel or not.
 	sc.DeterministicOpt = true
 
-	run := func(workers int) string {
+	run := func(workers int, wallClock bool) string {
 		s := sc
 		s.Workers = workers
+		var pick []Section
+		for _, sec := range Sections(s) {
+			if sec.WallClock == wallClock {
+				pick = append(pick, sec)
+			}
+		}
 		var b strings.Builder
-		if err := RunAll(s, &b); err != nil {
-			t.Fatalf("RunAll(workers=%d): %v", workers, err)
+		if err := runSections(&b, pick); err != nil {
+			t.Fatalf("sections(workers=%d, wallClock=%v): %v", workers, wallClock, err)
 		}
 		return b.String()
 	}
 
-	seq := maskWallClockSections(t, run(1))
-	par := maskWallClockSections(t, run(4))
+	if out := run(4, true); strings.Count(out, "\n== ") != 2 || !strings.Contains(out, "Figure 8a/8b") || !strings.Contains(out, "Figure 12a") {
+		t.Fatalf("want exactly Figure 8a/8b and Figure 12a marked WallClock, got:\n%s", out)
+	}
+	seq, par := run(1, false), run(4, false)
+	if n := strings.Count(seq, "\n== "); n != len(Sections(sc))-2 {
+		t.Fatalf("compared %d sections of %d", n, len(Sections(sc)))
+	}
 	if seq == par {
 		return
 	}
@@ -65,42 +73,4 @@ func TestParallelEquivalence(t *testing.T) {
 		}
 	}
 	t.Fatal("parallel RunAll output diverged from sequential")
-}
-
-// maskedSections are the RunAll section titles whose bodies depend on
-// real wall clock and may differ between any two runs.
-var maskedSections = []string{
-	"Figure 8a/8b",
-	"Figure 12a",
-}
-
-// maskWallClockSections removes the bodies of masked sections; the
-// section headers stay, so the section structure itself is compared.
-func maskWallClockSections(t *testing.T, out string) string {
-	t.Helper()
-	var b strings.Builder
-	masking := false
-	matched := 0
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "== ") {
-			masking = false
-			for _, s := range maskedSections {
-				if strings.Contains(line, s) {
-					masking = true
-					matched++
-				}
-			}
-			b.WriteString(line)
-			b.WriteByte('\n')
-			continue
-		}
-		if !masking {
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	if matched != len(maskedSections) {
-		t.Fatalf("masked %d sections, want %d — RunAll section titles changed?", matched, len(maskedSections))
-	}
-	return b.String()
 }

@@ -170,7 +170,7 @@ func (c Config) Validate() error {
 	// The autoscaler, like checkpointing, also drives the vanilla
 	// baseline, so it is validated before the Enabled gate.
 	if c.Elastic != nil {
-		if err := c.Elastic.validate(); err != nil {
+		if err := c.Elastic.Policy.Validate(); err != nil {
 			return err
 		}
 	}
@@ -234,8 +234,7 @@ type System struct {
 	lastCurObj, lastNewObj       float64
 	lastMoveCost                 float64
 	lastMoved                    int
-	forests                      []*ml.Forest // per stream, when UseML
-	streamBytes                  []float64    // per stream tuple size (for cost coefficients)
+	streamBytes                  []float64 // per stream tuple size (for cost coefficients)
 
 	// Fault detection and recovery (all dormant without a FaultScenario).
 	injector         *faults.Injector
@@ -254,11 +253,9 @@ type System struct {
 	ckpt      *checkpoint.Coordinator
 	destroyed map[checkpoint.GroupKey]bool
 
-	// Staged-migration bookkeeping (see migration.go). lastApplied
-	// tracks the controller's completion count so every finished
-	// reconfiguration's pause is recorded exactly once, in either mode.
-	mig                migStage
-	lastApplied        int
+	// What the reconfiguration episode in flight staged, and the totals
+	// of the episodes that ended (see episode.go).
+	ep                 stage
 	migrationsStaged   int
 	migrationFallbacks int
 	migPauseSec        float64 // cumulative injection→alignment pause, virtual seconds
@@ -306,9 +303,9 @@ type sysObs struct {
 	elLiveNodes           *obs.Gauge
 	elDrainTime           *obs.Histogram
 
-	migStagedTotal                   *obs.Counter
-	migPause                         *obs.Histogram
-	migStagedBytes, migResidualBytes *obs.Gauge
+	stagedEpisodes                *obs.Counter
+	migPause                      *obs.Histogram
+	stagedBytes, migResidualBytes *obs.Gauge
 }
 
 func newSysObs(r *obs.Registry) *sysObs {
@@ -370,12 +367,12 @@ func newSysObs(r *obs.Registry) *sysObs {
 		elDrainTime: r.Histogram("saspar_elastic_drain_seconds",
 			"Virtual time from drain decision to node retirement. Unit: virtual seconds.",
 			[]float64{0.25, 0.5, 1, 2, 4, 8, 16, 32}),
-		migStagedTotal: r.Counter("saspar_migrations_staged_total",
+		stagedEpisodes: r.Counter("saspar_migrations_staged_total",
 			"Reconfigurations whose moving cells were pre-staged from a checkpoint chain."),
 		migPause: r.Histogram("saspar_migration_pause_seconds",
 			"Virtual time from marker injection to alignment completion, per reconfiguration. Unit: virtual seconds.",
 			[]float64{0.05, 0.1, 0.25, 0.5, 1, 2, 4, 8}),
-		migStagedBytes: r.Gauge("saspar_migration_staged_bytes",
+		stagedBytes: r.Gauge("saspar_migration_staged_bytes",
 			"Cumulative modelled bytes of window state pre-staged to migration destinations."),
 		migResidualBytes: r.Gauge("saspar_migration_residual_bytes",
 			"Cumulative at-alignment bytes shipped for pre-staged cells (the since-barrier residual)."),
@@ -625,12 +622,12 @@ func (s *System) RemoveQuery(qi int) error {
 	return nil
 }
 
-// Run advances the system by d of virtual time, firing the optimizer
-// on its trigger interval, pumping the AQE controller, and — when a
-// fault scenario is configured — replaying faults and driving the
-// detection/recovery loop. A non-positive duration is a caller bug (a
-// miscomputed warm-up or measurement interval) that would silently
-// no-op, so it is rejected — mirroring Engine.Run.
+// Run advances the system by d of virtual time. Each tick: the engine,
+// checkpoints, fault injection, the episode in flight, fault detection,
+// the solve in flight, and — when no episode holds the floor — whichever
+// producer is next in line (episode.go). A non-positive duration is a
+// caller bug (a miscomputed warm-up or measurement interval) that would
+// silently no-op, so it is rejected — mirroring Engine.Run.
 func (s *System) Run(d vtime.Duration) error {
 	if d <= 0 {
 		return fmt.Errorf("core: run duration must be positive, got %v", d)
@@ -651,10 +648,7 @@ func (s *System) Run(d vtime.Duration) error {
 		if s.injector != nil {
 			s.injector.Advance(s.eng.Clock())
 		}
-		s.ctl.Poll()
-		// Resolve completed/aborted reconfigurations (pause accounting,
-		// staged-migration cleanup) before any new plan can start.
-		s.pollMigration()
+		s.advance()
 		if s.injector != nil && s.cfg.Enabled {
 			// Detection runs even while AQE is busy: a fault striking
 			// mid-reconfiguration must restart the recovery clock.
@@ -663,46 +657,8 @@ func (s *System) Run(d vtime.Duration) error {
 		// A solve that finished during the tick installs (or is dropped
 		// as stale) before any other producer can start a plan.
 		s.pollSolve()
-		if s.ctl.Busy() {
-			continue
-		}
-		if s.cfg.Enabled && s.recoveryPending {
-			// Degraded mode: evacuation preempts the periodic loop.
-			s.stepRecovery()
-			continue
-		}
-		if s.el != nil {
-			// The autoscaler also drives the vanilla baseline; it runs
-			// after recovery (a fault preempts elasticity) and its
-			// rebalance/evacuation rounds occupy AQE like any plan.
-			s.stepElastic()
-			if s.ctl.Busy() {
-				continue
-			}
-		}
-		if !s.cfg.Enabled {
-			continue
-		}
-		since := s.eng.Clock().Sub(s.lastTrigger)
-		if since >= s.cfg.TriggerInterval {
-			s.trigger(triggerPeriodic)
-			continue
-		}
-		if s.cfg.DriftTrigger > 0 && since >= s.cfg.TriggerInterval/4 {
-			if d := s.maxDrift(); d > s.cfg.DriftTrigger {
-				s.driftTriggers++
-				if s.obs != nil {
-					s.obs.reg.Emit(s.eng.Clock(), obs.EvDriftDetected,
-						obs.F("drift", d),
-						obs.F("threshold", s.cfg.DriftTrigger))
-				}
-				s.trigger(triggerDrift)
-			} else if s.eng.Clock().Sub(s.lastEpoch) >= s.cfg.TriggerInterval/4 {
-				// Roll the statistics epoch so drift stays measurable
-				// against a recent baseline even before any trigger.
-				s.col.Reset(s.eng.Clock())
-				s.lastEpoch = s.eng.Clock()
-			}
+		if !s.ctl.Busy() {
+			s.next()
 		}
 	}
 	return nil
@@ -820,7 +776,7 @@ func (s *System) trigger(reason string) {
 			snap.opt.MoveCost[i] = (rangeSec / interval) * 2 * snap.req.LatNet / h
 		}
 	}
-	s.startSolve(snap)
+	s.inFlight = s.launch(snap)
 	if !s.eng.Fed() {
 		s.finishSolve(<-s.inFlight.done)
 	}
@@ -881,7 +837,7 @@ func (s *System) install(snap *planSnapshot, res *optimizer.Result) {
 	for qi, a := range newAssign {
 		moved += len(s.eng.Assignment(qi).Diff(a))
 	}
-	if _, err := s.beginReconfig(newAssign); err == nil {
+	if _, err := s.begin(newAssign); err == nil {
 		s.lastMoved = moved
 		if s.obs != nil {
 			s.obs.accepted.Inc()
@@ -1056,7 +1012,6 @@ func (s *System) buildRequest() (*optimizer.Request, []canonicalClass) {
 				forests[st] = f
 			}
 		}
-		s.forests = forests
 	}
 
 	for _, cc := range classes {

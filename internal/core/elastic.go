@@ -33,10 +33,6 @@ type ElasticConfig struct {
 	SlotsPerNode int
 }
 
-func (c *ElasticConfig) validate() error {
-	return c.Policy.Validate()
-}
-
 // elasticRun is the loop's runtime state.
 type elasticRun struct {
 	cfg  ElasticConfig
@@ -152,75 +148,42 @@ func (s *System) elasticJoin(n int) {
 				obs.I("live_nodes", int64(s.eng.LiveNodes())))
 		}
 	}
-	if joined > 0 {
-		s.elasticRebalance()
-	}
-}
-
-// elasticRebalance moves load onto freshly joined capacity. Like
-// recovery's evacuation it bypasses the sample and hysteresis gates —
-// capacity was added because the cluster is drowning, so rebalancing is
-// not optional. The shared layer solves over the grown domain with the
-// running plan anchored; the vanilla baseline re-spreads each query's
-// own partitioning modulo the live partitions (hash-partitioner
-// rescale), which is exactly the per-query movement bill shared
-// partitioning avoids.
-//
-// The optimizer's cost model has no notion of NIC saturation: a node
-// hosting no source tasks is pure remote traffic, so for local-heavy
-// workloads the solve can rationally leave the new (still empty) nodes
-// unused even though the cluster is drowning. A rebalance that strands
-// the capacity it was triggered for defeats the join, so such plans are
-// discarded in favor of the deterministic spread; the next routine
-// trigger re-optimizes from the spread anchor with real load on the
-// new nodes.
-func (s *System) elasticRebalance() {
-	allowed, _ := s.allowedPartitions()
-	var newAssign map[int]*keyspace.Assignment
-	if s.cfg.Enabled {
-		newAssign = s.planEvacuation(allowed)
-		if newAssign != nil && !s.reachesEmptyNodes(newAssign) {
-			newAssign = nil
-		}
-	}
-	if newAssign == nil {
-		newAssign = s.spreadAssignments(allowed)
-	}
-	if newAssign == nil {
+	if joined == 0 {
 		return
 	}
-	if _, err := s.beginReconfig(newAssign); err == nil && s.col != nil {
-		s.col.Reset(s.eng.Clock())
-	}
+	// Capacity was added because the cluster is drowning, so moving load
+	// onto it is not optional (relocate); the vanilla baseline's rescale is
+	// exactly the per-query movement bill shared partitioning avoids.
+	//
+	// The optimizer's cost model has no notion of NIC saturation: a node
+	// hosting no source tasks is pure remote traffic, so for local-heavy
+	// workloads the solve can rationally leave the new (still empty) nodes
+	// unused even though the cluster is drowning. A rebalance that strands
+	// the capacity it was triggered for defeats the join, so such plans are
+	// discarded in favor of the deterministic spread; the next routine
+	// trigger re-optimizes from the spread anchor with real load on the
+	// new nodes.
+	allowed, _ := s.allowedPartitions()
+	s.relocate(allowed, s.reachesEmptyNodes, true)
 }
 
 // reachesEmptyNodes reports whether the plan places at least one key
 // group on every live node that currently owns none (the nodes a join
 // just admitted). Vacuously true when no such node exists.
 func (s *System) reachesEmptyNodes(plan map[int]*keyspace.Assignment) bool {
-	empty := map[cluster.NodeID]bool{}
-	for n := 0; n < s.eng.Config().Nodes; n++ {
-		id := cluster.NodeID(n)
-		if s.eng.NodeRetired(id) || s.eng.NodeDown(id) {
-			continue
-		}
-		if s.eng.GroupsOnNode(id) == 0 {
-			empty[id] = true
-		}
-	}
-	if len(empty) == 0 {
-		return true
-	}
+	used := map[cluster.NodeID]bool{}
 	for _, a := range plan {
 		for g := 0; g < a.NumGroups(); g++ {
-			n := s.eng.PartitionNode(int(a.Partition(keyspace.GroupID(g))))
-			delete(empty, n)
-			if len(empty) == 0 {
-				return true
-			}
+			used[s.eng.PartitionNode(int(a.Partition(keyspace.GroupID(g))))] = true
 		}
 	}
-	return false
+	for n := 0; n < s.eng.Config().Nodes; n++ {
+		id := cluster.NodeID(n)
+		if !used[id] && !s.eng.NodeRetired(id) && !s.eng.NodeDown(id) && s.eng.GroupsOnNode(id) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // beginDrain picks the drain candidate and opens the drain episode.
@@ -276,12 +239,9 @@ func (s *System) stepDrain() {
 		// state a racing fault tore up was recorded cell-by-cell — re-seed
 		// exactly those cells from the newest pre-drain checkpoint so
 		// counting stays exactly-once.
-		if s.ckpt != nil && !s.recoveryPending {
-			s.noteDestroyed()
-			if len(s.destroyed) > 0 {
-				s.restoreFromCheckpoint(el.drainStart)
-				s.destroyed = nil
-			}
+		if !s.recoveryPending {
+			s.restoreFromCheckpoint(el.drainStart)
+			s.destroyed = nil
 		}
 		if s.obs != nil {
 			s.obs.elDrains.Inc()
@@ -295,72 +255,13 @@ func (s *System) stepDrain() {
 		}
 		return
 	}
-	if s.ctl.Busy() {
-		return // evacuation round still running
-	}
 	allowed, ok := s.allowedPartitions()
 	if !ok {
 		// Nowhere to move the groups: abort the drain instead of wedging.
 		el.drainingOn = false
 		return
 	}
-	var newAssign map[int]*keyspace.Assignment
-	if s.cfg.Enabled {
-		newAssign = s.planEvacuation(allowed)
-	}
-	if newAssign == nil {
-		newAssign = s.fallbackEvacuation(allowed)
-	}
-	if newAssign == nil {
-		return
-	}
-	if _, err := s.beginReconfig(newAssign); err == nil && s.col != nil {
-		s.col.Reset(s.eng.Clock())
-	}
-}
-
-// spreadAssignments re-maps every active query's key groups modulo the
-// allowed partitions (nil allowed = all partitions) — the vanilla
-// baseline's deterministic hash-partitioner rescale. Queries sharing an
-// assignment object keep sharing the clone. Returns nil when nothing
-// would move.
-func (s *System) spreadAssignments(allowed []bool) map[int]*keyspace.Assignment {
-	numP := s.eng.Config().NumPartitions
-	var live []keyspace.PartitionID
-	for p := 0; p < numP; p++ {
-		if allowed == nil || allowed[p] {
-			live = append(live, keyspace.PartitionID(p))
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	byOld := map[*keyspace.Assignment]*keyspace.Assignment{}
-	out := map[int]*keyspace.Assignment{}
-	changed := false
-	for qi := 0; qi < s.eng.NumQueries(); qi++ {
-		if !s.eng.QueryActive(qi) {
-			continue
-		}
-		old := s.eng.Assignment(qi)
-		na, ok := byOld[old]
-		if !ok {
-			na = old.Clone()
-			for g := 0; g < na.NumGroups(); g++ {
-				gid := keyspace.GroupID(g)
-				if p := live[g%len(live)]; p != na.Partition(gid) {
-					na.Set(gid, p)
-					changed = true
-				}
-			}
-			byOld[old] = na
-		}
-		out[qi] = na
-	}
-	if !changed {
-		return nil
-	}
-	return out
+	s.relocate(allowed, nil, false)
 }
 
 // ElasticState exposes the autoscaler's progress for harnesses: joins

@@ -95,9 +95,9 @@ func movePlan(t *testing.T, s *System, srcNode, dstNode cluster.NodeID) map[int]
 // actually entered the Staging phase with cells registered.
 func stagePlan(t *testing.T, s *System, srcNode, dstNode cluster.NodeID) {
 	t.Helper()
-	started, err := s.beginReconfig(movePlan(t, s, srcNode, dstNode))
+	started, err := s.begin(movePlan(t, s, srcNode, dstNode))
 	if err != nil || !started {
-		t.Fatalf("beginReconfig: started=%v err=%v", started, err)
+		t.Fatalf("begin: started=%v err=%v", started, err)
 	}
 	if got := s.Controller().Phase(); got != aqe.Staging {
 		t.Fatalf("controller phase = %v after staged begin, want Staging", got)
@@ -105,7 +105,7 @@ func stagePlan(t *testing.T, s *System, srcNode, dstNode cluster.NodeID) {
 	if s.eng.StagedCells() == 0 {
 		t.Fatal("staged begin registered no cells")
 	}
-	if !s.mig.active {
+	if s.ep.cells == 0 {
 		t.Fatal("migration bookkeeping not armed")
 	}
 }
@@ -115,9 +115,9 @@ func stagePlan(t *testing.T, s *System, srcNode, dstNode cluster.NodeID) {
 // phase).
 func stagePlanFallback(t *testing.T, s *System, srcNode cluster.NodeID, dstNode cluster.NodeID) {
 	t.Helper()
-	started, err := s.beginReconfig(movePlan(t, s, srcNode, dstNode))
+	started, err := s.begin(movePlan(t, s, srcNode, dstNode))
 	if err != nil || !started {
-		t.Fatalf("fallback beginReconfig: started=%v err=%v", started, err)
+		t.Fatalf("fallback begin: started=%v err=%v", started, err)
 	}
 	if got := s.Controller().Phase(); got == aqe.Staging {
 		t.Fatal("reconfiguration entered Staging despite a dead store")
@@ -140,7 +140,7 @@ func settle(t *testing.T, s *System) Report {
 		if err := s.Run(100 * vtime.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		if !s.Controller().Busy() && !s.recoveryPending && !s.mig.active {
+		if !s.Controller().Busy() && !s.recoveryPending && s.ep.cells == 0 {
 			break
 		}
 	}
@@ -148,7 +148,7 @@ func settle(t *testing.T, s *System) Report {
 	if s.Controller().Busy() {
 		t.Fatalf("controller wedged in phase %v", s.Controller().Phase())
 	}
-	if s.mig.active {
+	if s.ep.cells > 0 {
 		t.Fatal("staged-migration bookkeeping never resolved")
 	}
 	if n := s.eng.StagedCells(); n != 0 {
@@ -277,7 +277,7 @@ func runCrashCase(t *testing.T, tc crashCase, cell enginetest.WorkerCell) []byte
 
 	if tc.afterStage {
 		// Let the staged reconfiguration run to completion first.
-		for i := 0; i < 100 && s.mig.active; i++ {
+		for i := 0; i < 100 && s.ep.cells > 0; i++ {
 			if err := s.Run(100 * vtime.Millisecond); err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func runCrashCase(t *testing.T, tc crashCase, cell enginetest.WorkerCell) []byte
 	if !tc.afterStage {
 		// The fault must void the in-flight stage synchronously: the
 		// snapshot may describe state on the dead node.
-		if s.mig.active || s.eng.StagedCells() != 0 {
+		if s.ep.cells > 0 || s.eng.StagedCells() != 0 {
 			t.Fatal("crash mid-stage left the stage armed")
 		}
 		if s.Controller().Phase() != aqe.Idle {
@@ -340,4 +340,36 @@ func runCrashCase(t *testing.T, tc crashCase, cell enginetest.WorkerCell) []byte
 	fp := fingerprint(t, s)
 	checkGolden(t, "crash-matrix/"+tc.name, fp)
 	return fp
+}
+
+// A plan that cannot be injected any more when its staged transfers
+// land — here its destination was retired meanwhile — is dropped by the
+// controller, and the episode is voided as stale: nothing moved, the
+// staged registry and the pin are released, one fallback is counted.
+func TestStaleStagedPlanIsVoided(t *testing.T) {
+	s := newStagedSystem(t, 1)
+	// The warm-up ends as a checkpoint barrier goes out; membership
+	// changes wait for it.
+	for i := 0; i < 10 && !s.eng.ElasticQuiescent(); i++ {
+		tick(t, s)
+	}
+	joined, _, err := s.eng.AddNode(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stagePlan(t, s, 1, joined)
+	if err := s.eng.RetireNode(joined); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Snapshot()
+	rep := settle(t, s)
+	if rep.Applied != before.Applied || rep.MigrationsStaged != before.MigrationsStaged {
+		t.Fatalf("stale plan was applied: %+v", rep)
+	}
+	if rep.MigrationFallbacks != before.MigrationFallbacks+1 || !traceHas(s, obs.EvMigrationFallback, "reason=stale") {
+		t.Fatalf("stale stage not counted as a fallback: %d -> %d", before.MigrationFallbacks, rep.MigrationFallbacks)
+	}
+	if s.eng.GroupsOnNode(joined) != 0 {
+		t.Fatal("key groups landed on the retired node")
+	}
 }

@@ -3,10 +3,8 @@ package core
 import (
 	"strconv"
 
-	"saspar/internal/aqe"
 	"saspar/internal/checkpoint"
 	"saspar/internal/cluster"
-	"saspar/internal/keyspace"
 	"saspar/internal/obs"
 	"saspar/internal/vtime"
 )
@@ -54,9 +52,8 @@ func (s *System) pollHealth() {
 	// died, and the plan itself may now place groups on one. The markers
 	// never went out, so nothing is in flight to drain — drop the plan
 	// and let recovery re-plan against the new health mask.
-	if s.mig.active && s.ctl.Phase() == aqe.Staging {
-		s.ctl.AbortStage()
-		s.abortStage("fault")
+	if s.ctl.AbortStage() {
+		s.void("fault")
 	}
 	if s.obs != nil {
 		s.obs.faultsDetected.Inc()
@@ -72,7 +69,11 @@ func (s *System) pollHealth() {
 // completion check, then — if an evacuation is still owed and the
 // backoff expired — another attempt.
 func (s *System) stepRecovery() {
-	if s.recoveryComplete() {
+	allowed, degraded := s.allowedPartitions()
+	if !degraded || s.respread(allowed, false) == nil {
+		// Nothing left to evacuate: the cluster healed on its own, or no
+		// active query keeps a key group on an unhealthy partition (the
+		// last-resort evacuation would move nothing).
 		s.finishRecovery()
 		return
 	}
@@ -92,32 +93,7 @@ func (s *System) stepRecovery() {
 		shift = 6
 	}
 	s.nextRecoveryTry = now.Add(s.cfg.RecoveryBackoff << shift)
-	s.tryEvacuation()
-}
-
-// recoveryComplete reports whether nothing is left to evacuate: AQE is
-// idle and no active query assigns a key group to an unhealthy
-// partition.
-func (s *System) recoveryComplete() bool {
-	if s.ctl.Busy() {
-		return false
-	}
-	allowed, degraded := s.allowedPartitions()
-	if !degraded {
-		return true // cluster healed on its own
-	}
-	for qi := 0; qi < s.eng.NumQueries(); qi++ {
-		if !s.eng.QueryActive(qi) {
-			continue
-		}
-		a := s.eng.Assignment(qi)
-		for g := 0; g < a.NumGroups(); g++ {
-			if !allowed[a.Partition(keyspace.GroupID(g))] {
-				return false
-			}
-		}
-	}
-	return true
+	s.relocate(allowed, nil, false)
 }
 
 // finishRecovery closes out a detected fault: restore evacuated state
@@ -247,95 +223,4 @@ func (s *System) allowedPartitions() ([]bool, bool) {
 		return nil, false
 	}
 	return allowed, true
-}
-
-// tryEvacuation plans and starts one evacuation round. Unlike the
-// routine trigger it bypasses the sample and hysteresis gates — with a
-// node down, moving is not optional — and falls back to a deterministic
-// round-robin evacuation when the optimizer cannot produce a plan (too
-// few samples, degenerate statistics, solver error).
-func (s *System) tryEvacuation() {
-	allowed, ok := s.allowedPartitions()
-	if !ok {
-		return
-	}
-	newAssign := s.planEvacuation(allowed)
-	if newAssign == nil {
-		newAssign = s.fallbackEvacuation(allowed)
-	}
-	if newAssign == nil {
-		return
-	}
-	if _, err := s.beginReconfig(newAssign); err == nil {
-		s.col.Reset(s.eng.Clock())
-	}
-}
-
-// planEvacuation asks the optimizer for a full plan over the restricted
-// partition domain. Anchors keep untouched groups in place (anchors on
-// excluded partitions are dropped inside the optimizer, so evacuation
-// itself pays no movement penalty); MoveCost is deliberately left unset
-// — during recovery, movement is mandatory, not a bill to amortize. For
-// the same reason the loop waits for this solve even when it is fed: a
-// solve the periodic trigger has in flight meanwhile comes back stale.
-func (s *System) planEvacuation(allowed []bool) map[int]*keyspace.Assignment {
-	snap := s.snapshotPlan(allowed)
-	if snap == nil {
-		return nil
-	}
-	res, err := s.solve(snap.req, snap.opt)
-	if err != nil {
-		return nil
-	}
-	s.recordRound(res)
-	return classAssignments(snap.classes, res)
-}
-
-// fallbackEvacuation is the plan of last resort: clone each distinct
-// running assignment and move every group on a disallowed partition to
-// an allowed one, round-robin. Queries sharing an assignment object
-// keep sharing the clone, so route classes stay collapsed. Returns nil
-// when nothing needs to move.
-func (s *System) fallbackEvacuation(allowed []bool) map[int]*keyspace.Assignment {
-	var live []keyspace.PartitionID
-	for p, ok := range allowed {
-		if ok {
-			live = append(live, keyspace.PartitionID(p))
-		}
-	}
-	byOld := map[*keyspace.Assignment]*keyspace.Assignment{}
-	out := map[int]*keyspace.Assignment{}
-	changed := false
-	i := 0
-	for qi := 0; qi < s.eng.NumQueries(); qi++ {
-		if !s.eng.QueryActive(qi) {
-			continue
-		}
-		old := s.eng.Assignment(qi)
-		na, ok := byOld[old]
-		if !ok {
-			na = old.Clone()
-			for g := 0; g < na.NumGroups(); g++ {
-				gid := keyspace.GroupID(g)
-				if !allowed[na.Partition(gid)] {
-					na.Set(gid, live[i%len(live)])
-					i++
-					changed = true
-				}
-			}
-			byOld[old] = na
-		}
-		out[qi] = na
-	}
-	if !changed {
-		return nil
-	}
-	return out
-}
-
-// RecoveryState exposes the recovery loop's progress for harnesses:
-// whether an evacuation is pending, how many attempts it took so far,
-// and when the current fault was detected.
-func (s *System) RecoveryState() (pending bool, attempts int, detectedAt vtime.Time) {
-	return s.recoveryPending, s.recoveryAttempts, s.recoveryStart
 }

@@ -38,7 +38,7 @@ type planSnapshot struct {
 	anchors []*keyspace.Assignment
 	opt     optimizer.Options
 
-	// Set by trigger; evacuation plans skip the hysteresis gate.
+	// Set by trigger; relocate's plans skip the hysteresis gate.
 	curObj  float64
 	refined int
 }
@@ -123,9 +123,10 @@ type solveOutcome struct {
 	took time.Duration
 }
 
-// startSolve runs the solver on snap on its own goroutine. At most one
-// solve is in flight; the caller has checked.
-func (s *System) startSolve(snap *planSnapshot) {
+// launch runs the solver on snap on its own goroutine — the one place
+// the solver is called from. trigger parks the job in inFlight (at most
+// one; it has checked); relocate receives from it at once.
+func (s *System) launch(snap *planSnapshot) *solveJob {
 	job := &solveJob{snap: snap, done: make(chan solveOutcome, 1)}
 	solve := s.solve
 	go func() {
@@ -133,7 +134,7 @@ func (s *System) startSolve(snap *planSnapshot) {
 		res, err := solve(snap.req, snap.opt)
 		job.done <- solveOutcome{res, err, time.Since(t)}
 	}()
-	s.inFlight = job
+	return job
 }
 
 // pollSolve finishes the solve in flight if its result has arrived and

@@ -418,9 +418,9 @@ func TestSolverFailureFallsBackToSpread(t *testing.T) {
 					down.calls, rounds, s.Snapshot().Optimizations)
 			}
 			assertOnlyMaskedMoved(t, s.eng, before, shared, tc.masked...)
-			if s.Controller().Busy() || s.mig.active || s.eng.StagedCells() != 0 {
+			if s.Controller().Busy() || s.ep.cells > 0 || s.eng.StagedCells() != 0 {
 				t.Fatalf("episode left open: phase %v, stage armed %v, %d staged cells",
-					s.Controller().Phase(), s.mig.active, s.eng.StagedCells())
+					s.Controller().Phase(), s.ep.cells > 0, s.eng.StagedCells())
 			}
 		})
 	}

@@ -324,7 +324,14 @@ func (e *Engine) GroupBytes(cg *CkptGroup) float64 {
 	if cg.Query < 0 || cg.Query >= len(e.queries) {
 		return 0
 	}
-	bpt := e.streams[e.queries[cg.Query].spec.Inputs[0].Stream].BytesPerTuple
+	return cellWeight(cg) * e.streams[e.queries[cg.Query].spec.Inputs[0].Stream].BytesPerTuple
+}
+
+// cellWeight is the state weight of one captured group — counting-mode
+// side weights, exact-mode aggregate partials and buffered join tuples —
+// the one rule a cell is sized by when it is shipped, staged or
+// restored.
+func cellWeight(cg *CkptGroup) float64 {
 	var w float64
 	for _, x := range cg.Weight {
 		w += x
@@ -332,8 +339,18 @@ func (e *Engine) GroupBytes(cg *CkptGroup) float64 {
 	for _, p := range cg.Agg {
 		w += p.Weight
 	}
-	w += float64(len(cg.Join[0]) + len(cg.Join[1]))
-	return w * bpt
+	return w + float64(len(cg.Join[0])+len(cg.Join[1]))
+}
+
+// barrierAge is the share of a snapshot whose barrier went out at
+// barrier that a window of tau seconds still holds now: the exponential
+// decay decayTo applies to live rates, so a restored or staged copy
+// matches what an uninterrupted run would still hold in-window.
+func (e *Engine) barrierAge(barrier vtime.Time, tau float64) float64 {
+	if dt := e.clock.Sub(barrier).Seconds(); dt > 0 && tau > 0 {
+		return math.Exp(-dt / tau)
+	}
+	return 1
 }
 
 // RestoreGroup re-installs one checkpointed key group's window state
@@ -362,13 +379,7 @@ func (e *Engine) RestoreGroup(cg CkptGroup, barrier vtime.Time) float64 {
 	if !e.cfg.ExactWindows {
 		c := e.qcount[cg.Query]
 		tau := q.spec.Window.Range.Seconds()
-		// Age the snapshot to now with the same exponential decay
-		// decayTo applies to live rates, so the restored state matches
-		// what an uninterrupted run would still hold in-window.
-		decay := 1.0
-		if dt := e.clock.Sub(barrier).Seconds(); dt > 0 {
-			decay = math.Exp(-dt / tau)
-		}
+		decay := e.barrierAge(barrier, tau)
 		for side := 0; side < len(c.rate) && side < len(cg.Weight); side++ {
 			c.decayTo(side, cg.Group, e.clock, tau)
 			c.rate[side][cg.Group] += cg.Weight[side] * decay / tau
@@ -388,10 +399,7 @@ func (e *Engine) RestoreGroup(cg CkptGroup, barrier vtime.Time) float64 {
 	en.stAgg = append(en.stAgg, cg.Agg...)
 	en.stJoin[0] = append(en.stJoin[0], cg.Join[0]...)
 	en.stJoin[1] = append(en.stJoin[1], cg.Join[1]...)
-	for _, p := range cg.Agg {
-		en.stWeight += p.Weight
-	}
-	en.stWeight += float64(len(cg.Join[0]) + len(cg.Join[1]))
+	en.stWeight = cellWeight(&cg)
 	e.outstandingState++ // mergeState's decrement balances this
 	e.mergeState(s, en, false)
 	nr.recycle(en)

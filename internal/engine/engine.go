@@ -121,7 +121,7 @@ type Engine struct {
 	// / VoidStagedState), read-only during the slot phase — see
 	// migrate.go. The three accumulators feed the migration metrics.
 	staged           map[pendKey]stagedCell
-	migStagedBytes   float64
+	stagedBytesTotal float64
 	migResidualBytes float64
 	migAlignBytes    float64
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math"
-
 	"saspar/internal/keyspace"
 	"saspar/internal/vtime"
 )
@@ -45,14 +43,7 @@ func (e *Engine) StageGroup(cg CkptGroup, barrier vtime.Time) float64 {
 	if cg.Query < 0 || cg.Query >= len(e.queries) || e.queries[cg.Query].inactive {
 		return 0
 	}
-	var w float64
-	for _, x := range cg.Weight {
-		w += x
-	}
-	for _, p := range cg.Agg {
-		w += p.Weight
-	}
-	w += float64(len(cg.Join[0]) + len(cg.Join[1]))
+	w := cellWeight(&cg)
 	if w <= 0 {
 		return 0
 	}
@@ -61,7 +52,7 @@ func (e *Engine) StageGroup(cg CkptGroup, barrier vtime.Time) float64 {
 	}
 	e.staged[pendKey{cg.Query, cg.Group}] = stagedCell{weight: w, barrier: barrier}
 	bytes := e.GroupBytes(&cg)
-	e.migStagedBytes += bytes
+	e.stagedBytesTotal += bytes
 	return bytes
 }
 
@@ -90,10 +81,7 @@ func (e *Engine) stagedDiscount(qi int, g keyspace.GroupID, cur float64, tau flo
 	if !ok || cur <= 0 {
 		return 0
 	}
-	usable := sc.weight
-	if dt := e.clock.Sub(sc.barrier).Seconds(); dt > 0 && tau > 0 {
-		usable *= math.Exp(-dt / tau)
-	}
+	usable := sc.weight * e.barrierAge(sc.barrier, tau)
 	if usable > cur {
 		usable = cur
 	}
@@ -102,7 +90,7 @@ func (e *Engine) stagedDiscount(qi int, g keyspace.GroupID, cur float64, tau flo
 
 // StagedBytes reports the cumulative modelled bytes of window state
 // pre-staged to migration destinations through StageGroup.
-func (e *Engine) StagedBytes() float64 { return e.migStagedBytes }
+func (e *Engine) StagedBytes() float64 { return e.stagedBytesTotal }
 
 // ResidualBytes reports the cumulative at-alignment wire bytes shipped
 // for moving cells that had a staged copy — the since-barrier residual.

@@ -3,7 +3,17 @@
 #
 #   gofmt -l           the tree must be gofmt-clean
 #   build + vet        compile the whole module and run static checks
-#   go test ./...      unit, integration, property and shape tests
+#   go test ./...      unit, integration, property and shape tests;
+#                      internal/core checks every run fingerprint (report
+#                      + trace + metrics) against the thirteen digests in
+#                      testdata/golden_fingerprints.json, each over
+#                      enginetest.WorkerGrid(): plain × 3 SPE profiles,
+#                      faults, elastic, elastic-crash, migration staged /
+#                      pause, and the five crash-matrix cases (source /
+#                      destination / store crash mid-stage, crash after
+#                      the stage completed, solver down → last-resort
+#                      spread); episode_shape_test.go keeps one caller of
+#                      ctl.Begin and one of the solver
 #   go test -race ...  the packages that spawn goroutines — the
 #                      run-matrix pool (internal/parallel), the
 #                      optimizer's parallel component solver
