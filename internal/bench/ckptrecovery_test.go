@@ -16,7 +16,7 @@ func TestCkptRecoveryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byItv := map[float64]CkptRecoveryRow{}
+	byItv := map[float64]CrashRow{}
 	for _, r := range rows {
 		byItv[r.IntervalTU] = r
 	}

@@ -76,23 +76,6 @@ func elasticScenario(sc Scale) flashwl.Config {
 	return cfg
 }
 
-func elasticPolicy(sc Scale) elastic.Config {
-	return elastic.Config{
-		MinNodes: sc.Nodes,
-		MaxNodes: sc.Nodes + 4,
-		// Thresholds sized to the simulator's signal dynamics: netsim
-		// queue pressure ramps slowly under overload, so the water marks
-		// sit low and the streaks short (see internal/core's elastic
-		// tests for the calibration).
-		HighWater:     0.05,
-		LowWater:      0.01,
-		UpPolls:       2,
-		DownPolls:     3,
-		CooldownPolls: 3,
-		MaxStep:       2,
-	}
-}
-
 func elasticCell(sc Scale, shared bool) (ElasticRow, error) {
 	row := ElasticRow{Arm: "sequential"}
 	if shared {
@@ -111,7 +94,8 @@ func elasticCell(sc Scale, shared bool) (ElasticRow, error) {
 	coreCfg := sc.coreConfig()
 	coreCfg.Enabled = shared
 	coreCfg.Obs = obs.New()
-	pol := elasticPolicy(sc)
+	coreCfg.Script = w.Schedule
+	pol := elastic.DefaultConfig(sc.Nodes, sc.Nodes+4)
 	coreCfg.Elastic = &core.ElasticConfig{
 		Policy:       pol,
 		PollInterval: sc.TimeUnit / 10,
@@ -122,7 +106,7 @@ func elasticCell(sc Scale, shared bool) (ElasticRow, error) {
 		return row, err
 	}
 	eng := sys.Engine()
-	w.ApplyRatesAt(eng, eng.Clock(), 1)
+	w.ApplyRates(eng, 1)
 
 	horizon := vtime.Time(0).Add(25 * sc.TimeUnit)
 	flashStart := vtime.Time(0).Add(5 * sc.TimeUnit)
@@ -130,7 +114,6 @@ func elasticCell(sc Scale, shared bool) (ElasticRow, error) {
 	var violationEnd vtime.Time
 	maxQ := eng.Network().Config().MaxQueueBytes
 	for eng.Clock() < horizon {
-		w.ApplyRatesAt(eng, eng.Clock(), 1)
 		if err := sys.Run(sample); err != nil {
 			return row, err
 		}

@@ -12,8 +12,8 @@ import (
 	"saspar/internal/cluster"
 	"saspar/internal/core"
 	"saspar/internal/engine"
-	"saspar/internal/faults"
 	"saspar/internal/obs"
+	"saspar/internal/scenario"
 	"saspar/internal/vtime"
 	"saspar/internal/workload"
 )
@@ -35,7 +35,7 @@ func composeStream() engine.StreamDef {
 // composeSystem builds a core system with checkpointing armed and the
 // given fault scenario scripted. Node 3 hosts only slots (sources sit
 // on nodes 0 and 1), so crashing it always leaves a live source.
-func composeSystem(t *testing.T, sc *faults.Scenario, ckptCfg checkpoint.Config) *core.System {
+func composeSystem(t *testing.T, sc scenario.Script, ckptCfg checkpoint.Config) *core.System {
 	t.Helper()
 	engCfg := engine.DefaultConfig()
 	engCfg.Nodes = 4
@@ -47,7 +47,7 @@ func composeSystem(t *testing.T, sc *faults.Scenario, ckptCfg checkpoint.Config)
 
 	coreCfg := core.DefaultConfig()
 	coreCfg.Obs = obs.New()
-	coreCfg.FaultScenario = sc
+	coreCfg.Script = sc
 	coreCfg.Checkpoint = ckptCfg
 
 	q := engine.QuerySpec{
@@ -114,7 +114,7 @@ func TestCrashAtCheckpointCompletionTick(t *testing.T) {
 	strikeAt, strikeID := completions[2], ids[2]
 
 	// Pass 2: same system, crash node 3 at exactly that tick.
-	sys := composeSystem(t, faults.Crash(3, strikeAt), ck)
+	sys := composeSystem(t, scenario.Crash(3, strikeAt), ck)
 	snap := runUntilRecovered(t, sys, 60*vtime.Second)
 	if snap.Checkpoints < 3 {
 		t.Fatalf("only %d checkpoints completed before recovery settled", snap.Checkpoints)
@@ -143,7 +143,7 @@ func TestCrashAtCheckpointCompletionTick(t *testing.T) {
 func TestCourierNodeCrashFallsBack(t *testing.T) {
 	const storeNode = 3
 	sys := composeSystem(t,
-		faults.Crash(storeNode, vtime.Time(7*vtime.Second)),
+		scenario.Crash(storeNode, vtime.Time(7*vtime.Second)),
 		checkpoint.Config{Interval: 2 * vtime.Second, StoreNode: storeNode})
 	snap := runUntilRecovered(t, sys, 60*vtime.Second)
 	if snap.Checkpoints == 0 {

@@ -7,8 +7,8 @@ import (
 
 	"saspar/internal/checkpoint"
 	"saspar/internal/engine"
-	"saspar/internal/faults"
 	"saspar/internal/obs"
+	"saspar/internal/scenario"
 	"saspar/internal/vtime"
 )
 
@@ -17,7 +17,7 @@ import (
 
 func runCrashSystem(t *testing.T, ckpt checkpoint.Config) Report {
 	t.Helper()
-	cfg := recoveryCfg(faults.Crash(3, vtime.Time(5*vtime.Second)))
+	cfg := recoveryCfg(scenario.Crash(3, vtime.Time(5*vtime.Second)))
 	cfg.Checkpoint = ckpt
 	cfg.Obs = obs.New()
 	s, err := New(faultEngineConfig(), []engine.StreamDef{skewedStream()}, sameKeyQueries(2), cfg)
@@ -82,7 +82,7 @@ func TestCheckpointConfigValidatedThroughCore(t *testing.T) {
 // guards is a histogram observing one unit while its name or help
 // implies another.
 func TestTimeHistogramUnitsDocumented(t *testing.T) {
-	cfg := recoveryCfg(faults.Crash(3, vtime.Time(5*vtime.Second)))
+	cfg := recoveryCfg(scenario.Crash(3, vtime.Time(5*vtime.Second)))
 	cfg.Checkpoint = checkpoint.Config{Interval: vtime.Second}
 	cfg.Obs = obs.New()
 	s, err := New(faultEngineConfig(), []engine.StreamDef{skewedStream()}, sameKeyQueries(2), cfg)

@@ -20,11 +20,11 @@ import (
 	"saspar/internal/checkpoint"
 	"saspar/internal/elastic"
 	"saspar/internal/engine"
-	"saspar/internal/faults"
 	"saspar/internal/ml"
 	"saspar/internal/netsim"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
+	"saspar/internal/scenario"
 	"saspar/internal/stats"
 	"saspar/internal/vtime"
 )
@@ -93,14 +93,15 @@ type Config struct {
 	// branch per hook and allocates nothing.
 	Obs *obs.Registry
 
-	// FaultScenario, when non-nil, replays a scripted fault schedule
-	// against the engine as the system runs (see internal/faults). The
-	// control loop then watches the cluster health fingerprint and, on a
-	// change, enters degraded mode: the optimizer's placement domain
-	// excludes partitions on unhealthy nodes and an evacuation
+	// Script, when non-empty, is replayed against the engine as the
+	// system runs (see internal/scenario and replay.go): faults strike
+	// nodes and rate events set offered rates. When the script holds a
+	// fault, the control loop watches the cluster health fingerprint
+	// and, on a change, enters degraded mode: the optimizer's placement
+	// domain excludes partitions on unhealthy nodes and an evacuation
 	// reconfiguration is driven through AQE until no key group remains
-	// on one. Nil (the default) leaves every fault path dormant.
-	FaultScenario *faults.Scenario
+	// on one. Without a fault every fault path stays dormant.
+	Script scenario.Script
 
 	// RecoveryBackoff is the virtual-time wait before re-attempting an
 	// evacuation whose reconfiguration was itself interrupted (it
@@ -119,7 +120,7 @@ type Config struct {
 
 	// Checkpoint arms periodic aligned-barrier checkpointing when its
 	// Interval is non-zero (see internal/checkpoint). With a
-	// FaultScenario also set, the degraded-mode recovery loop restores
+	// fault in the Script, the degraded-mode recovery loop restores
 	// evacuated key groups from the newest pre-fault checkpoint once
 	// evacuation completes, so node death loses at most roughly one
 	// checkpoint interval of window state instead of all of it.
@@ -236,8 +237,10 @@ type System struct {
 	lastMoved                    int
 	streamBytes                  []float64 // per stream tuple size (for cost coefficients)
 
-	// Fault detection and recovery (all dormant without a FaultScenario).
-	injector         *faults.Injector
+	// The script replay, and fault detection and recovery (all dormant
+	// unless the script holds a fault).
+	replay           *replay
+	watchHealth      bool   // the script holds a fault and the layer is enabled
 	lastHealth       uint64 // engine health fingerprint at the last poll
 	recoveryPending  bool   // degraded: an evacuation is owed or in flight
 	recoveryStart    vtime.Time
@@ -406,11 +409,12 @@ func New(engCfg engine.Config, streams []engine.StreamDef, queries []engine.Quer
 			return nil, err
 		}
 	}
-	if cfg.FaultScenario != nil {
-		s.injector, err = faults.NewInjector(eng, cfg.FaultScenario, cfg.Obs)
+	if len(cfg.Script) > 0 {
+		s.replay, err = newReplay(eng, cfg.Script, cfg.Obs)
 		if err != nil {
 			return nil, err
 		}
+		s.watchHealth = cfg.Enabled && cfg.Script.HasFaults()
 		s.lastHealth = eng.HealthFingerprint()
 	}
 	if cfg.Elastic != nil {
@@ -496,8 +500,8 @@ type Report struct {
 	// Network, cumulative since construction.
 	Net netsim.Stats
 
-	// Faults (all zero without a FaultScenario).
-	FaultsInjected  int     // scenario events struck so far
+	// Faults (all zero unless the Script holds a fault).
+	FaultsInjected  int     // script fault events struck so far
 	FaultsDetected  int     // health-fingerprint changes with unhealthy nodes
 	Recoveries      int     // evacuations completed (cluster healthy or drained)
 	RecoveryPending bool    // degraded right now, evacuation owed or in flight
@@ -531,8 +535,8 @@ type Report struct {
 func (s *System) Snapshot() Report {
 	m := s.eng.Metrics()
 	injected := 0
-	if s.injector != nil {
-		injected = s.injector.Applied()
+	if s.replay != nil {
+		injected = s.replay.struck
 	}
 	net := s.eng.Network().Stats()
 	ckpts, ckptBytes := 0, 0.0
@@ -623,7 +627,7 @@ func (s *System) RemoveQuery(qi int) error {
 }
 
 // Run advances the system by d of virtual time. Each tick: the engine,
-// checkpoints, fault injection, the episode in flight, fault detection,
+// checkpoints, the script replay, the episode in flight, fault detection,
 // the solve in flight, and — when no episode holds the floor — whichever
 // producer is next in line (episode.go). A non-positive duration is a
 // caller bug (a miscomputed warm-up or measurement interval) that would
@@ -634,22 +638,20 @@ func (s *System) Run(d vtime.Duration) error {
 	}
 	tick := s.eng.Config().Tick
 	end := s.eng.Clock().Add(d)
+	s.replay.advance(s.eng.Clock()) // events due before the first tick
 	for s.eng.Clock() < end {
 		if err := s.eng.Run(tick); err != nil {
 			return err
 		}
 		if s.ckpt != nil {
-			// Harvest/trigger checkpoint barriers before the fault
-			// injector strikes: a checkpoint whose barrier fully aligned
-			// by this tick completes even when a crash lands at the same
-			// instant.
+			// Harvest/trigger checkpoint barriers before the script
+			// strikes: a checkpoint whose barrier fully aligned by this
+			// tick completes even when a crash lands at the same instant.
 			s.ckpt.Poll()
 		}
-		if s.injector != nil {
-			s.injector.Advance(s.eng.Clock())
-		}
+		s.replay.advance(s.eng.Clock())
 		s.advance()
-		if s.injector != nil && s.cfg.Enabled {
+		if s.watchHealth {
 			// Detection runs even while AQE is busy: a fault striking
 			// mid-reconfiguration must restart the recovery clock.
 			s.pollHealth()

@@ -6,7 +6,6 @@ import (
 	"saspar/internal/checkpoint"
 	"saspar/internal/engine"
 	"saspar/internal/enginetest"
-	"saspar/internal/faults"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
 	"saspar/internal/parallel"
@@ -23,12 +22,13 @@ import (
 // checkpoint-residual restores), so it gets its own scenario rather
 // than riding the static-cluster ones.
 
-// runElasticFingerprint replays the elastic schedule: a 6× flash crowd
-// for 12 virtual seconds (forcing joins and a rebalance onto the new
-// capacity), then the crowd leaves and the loop drains back to the
-// floor. withCrash additionally strikes a node late in the flash —
-// after the autoscaler has admitted capacity — with aligned-barrier
-// checkpoints armed, composing join, recovery and restore in one run.
+// runElasticFingerprint replays testdata/elastic.script: a 6× flash
+// crowd for 12 virtual seconds (forcing joins and a rebalance onto the
+// new capacity), then the crowd leaves and the loop drains back to the
+// floor. withCrash replays elastic-crash.script instead, which also
+// strikes a node late in the flash — after the autoscaler has admitted
+// capacity — with aligned-barrier checkpoints armed, composing join,
+// recovery and restore in one run.
 func runElasticFingerprint(t *testing.T, cell enginetest.WorkerCell, withCrash bool) ([]byte, Report) {
 	t.Helper()
 	parallel.SetBudget(cell.Budget)
@@ -40,44 +40,28 @@ func runElasticFingerprint(t *testing.T, cell enginetest.WorkerCell, withCrash b
 	cfg := elasticCoreConfig()
 	cfg.Opt = optimizer.Options{DeterministicBudget: true, MaxNodes: 20000}
 	cfg.Obs = obs.New()
+	name := "elastic"
 	if withCrash {
+		name = "elastic-crash"
 		// Interval 4s: alignment under the saturated flash outlives a 2s
 		// cadence, which would keep a barrier permanently in flight and
 		// starve the (correctly conservative) elastic quiescence gate.
 		cfg.Checkpoint = checkpoint.Config{Interval: 4 * vtime.Second}
-		sc, err := faults.Generate(faults.Config{
-			Nodes: engCfg.Nodes, Seed: 7,
-			Crashes: 1,
-			Start:   4 * vtime.Second, Span: 2 * vtime.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FaultScenario = sc
 	}
+	cfg.Script = loadScript(t, name)
 
 	s, err := New(engCfg, []engine.StreamDef{skewedStream()}, sameKeyQueries(4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := s.Engine()
-	eng.PinTickWorkers(cell.Pinned)
-	eng.SetStreamRate(0, 60000) // 6 MB/s offered against 1 MiB/s NICs
-	if err := s.Run(12 * vtime.Second); err != nil {
-		t.Fatal(err)
-	}
-	eng.SetStreamRate(0, 200) // crowd gone: scale-in territory
-	if err := s.Run(40 * vtime.Second); err != nil {
+	s.Engine().PinTickWorkers(cell.Pinned)
+	if err := s.Run(52 * vtime.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	rep := s.Snapshot()
 	fp := fingerprint(t, s)
-	scenario := "elastic"
-	if withCrash {
-		scenario = "elastic-crash"
-	}
-	checkGolden(t, scenario, fp)
+	checkGolden(t, name, fp)
 	return fp, rep
 }
 

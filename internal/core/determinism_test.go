@@ -8,7 +8,6 @@ import (
 	"saspar/internal/checkpoint"
 	"saspar/internal/engine"
 	"saspar/internal/enginetest"
-	"saspar/internal/faults"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
 	"saspar/internal/parallel"
@@ -70,15 +69,7 @@ func runFingerprint(t *testing.T, kind spe.Kind, cell enginetest.WorkerCell, bat
 	cfg.Obs = obs.New()
 	if withFaults {
 		cfg.Checkpoint = checkpoint.Config{Interval: 2 * vtime.Second}
-		sc, err := faults.Generate(faults.Config{
-			Nodes: engCfg.Nodes, Seed: 7,
-			Crashes: 1,
-			Start:   6 * vtime.Second, Span: 2 * vtime.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FaultScenario = sc
+		cfg.Script = loadScript(t, "faults")
 	}
 
 	streams, queries := detWorkload()

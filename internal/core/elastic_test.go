@@ -22,16 +22,7 @@ func elasticEngineConfig() engine.Config {
 func elasticCoreConfig() Config {
 	cfg := fastCfg()
 	cfg.Elastic = &ElasticConfig{
-		Policy: elastic.Config{
-			MinNodes:      4,
-			MaxNodes:      6,
-			HighWater:     0.05,
-			LowWater:      0.01,
-			UpPolls:       2,
-			DownPolls:     3,
-			CooldownPolls: 3,
-			MaxStep:       2,
-		},
+		Policy:       elastic.DefaultConfig(4, 6),
 		PollInterval: 200 * vtime.Millisecond,
 	}
 	return cfg

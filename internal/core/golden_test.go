@@ -10,6 +10,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"saspar/internal/scenario"
 )
 
 // The determinism grids compare a build with itself; the golden
@@ -96,4 +98,18 @@ func fingerprint(t *testing.T, s *System) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// loadScript reads the committed scenario script testdata/<name>.script.
+func loadScript(t *testing.T, name string) scenario.Script {
+	t.Helper()
+	b, err := os.ReadFile("testdata/" + name + ".script")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := scenario.Parse(string(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"saspar/internal/engine"
-	"saspar/internal/faults"
 	"saspar/internal/keyspace"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
+	"saspar/internal/scenario"
 	"saspar/internal/vtime"
 )
 
@@ -23,16 +23,16 @@ func faultEngineConfig() engine.Config {
 
 // recoveryCfg builds a control-loop config with fault recovery armed
 // and every wall-clock cutoff replaced by deterministic budgets.
-func recoveryCfg(sc *faults.Scenario) Config {
+func recoveryCfg(sc scenario.Script) Config {
 	cfg := DefaultConfig()
 	cfg.TriggerInterval = 30 * vtime.Second // keep routine triggers out of the way
 	cfg.Opt = optimizer.Options{DeterministicBudget: true, MaxNodes: 20000}
-	cfg.FaultScenario = sc
+	cfg.Script = sc
 	return cfg
 }
 
 func TestCrashRecoveryEvacuatesAndRestoresThroughput(t *testing.T) {
-	sc := faults.Crash(3, vtime.Time(5*vtime.Second))
+	sc := scenario.Crash(3, vtime.Time(5*vtime.Second))
 	s, err := New(faultEngineConfig(), []engine.StreamDef{skewedStream()}, sameKeyQueries(2), recoveryCfg(sc))
 	if err != nil {
 		t.Fatal(err)
@@ -93,10 +93,10 @@ func TestTransientFaultHealsWithoutEvacuation(t *testing.T) {
 	// A short straggler that expires before any evacuation can land:
 	// detection fires, then the health check sees the cluster whole
 	// again and recovery closes without moving anything.
-	sc := &faults.Scenario{Events: []faults.Event{{
-		Kind: faults.KindStraggler, Node: 2,
+	sc := scenario.Script{{
+		Kind: scenario.KindStraggler, Node: 2,
 		At: vtime.Time(2 * vtime.Second), Duration: 600 * vtime.Millisecond, Factor: 0.25,
-	}}}
+	}}
 	cfg := recoveryCfg(sc)
 	cfg.RecoveryBackoff = 2 * vtime.Second // first retry lands after the fault expires
 	s, err := New(faultEngineConfig(), []engine.StreamDef{skewedStream()}, sameKeyQueries(1), cfg)
@@ -122,7 +122,7 @@ func TestVanillaSystemInjectsButNeverRecovers(t *testing.T) {
 	// With the SASPAR layer disabled the scenario still strikes the
 	// engine (the baseline suffers the fault) but nothing detects or
 	// evacuates — the degraded state persists.
-	sc := faults.Crash(3, vtime.Time(2*vtime.Second))
+	sc := scenario.Crash(3, vtime.Time(2*vtime.Second))
 	cfg := recoveryCfg(sc)
 	cfg.Enabled = false
 	s, err := New(faultEngineConfig(), []engine.StreamDef{skewedStream()}, sameKeyQueries(1), cfg)
@@ -151,7 +151,7 @@ func TestFaultTraceIsDeterministic(t *testing.T) {
 	// Fixed seed, two full runs, bit-identical event traces — the
 	// reproducibility contract of the recovery experiments.
 	run := func() []obs.Event {
-		sc, err := faults.Generate(faults.Config{
+		sc, err := scenario.Generate(scenario.Config{
 			Nodes: 4, Seed: 7,
 			Crashes: 1, Brownouts: 1, Stragglers: 1,
 			Start: 2 * vtime.Second, Span: 4 * vtime.Second,

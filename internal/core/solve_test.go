@@ -9,10 +9,10 @@ import (
 	"saspar/internal/checkpoint"
 	"saspar/internal/cluster"
 	"saspar/internal/engine"
-	"saspar/internal/faults"
 	"saspar/internal/keyspace"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
+	"saspar/internal/scenario"
 	"saspar/internal/vtime"
 )
 
@@ -204,7 +204,7 @@ func TestStaleResultsAreDropped(t *testing.T) {
 		cfg := solveCfg()
 		// The first solve starts at 2 s and is parked; the crash lands
 		// behind it.
-		cfg.FaultScenario = faults.Crash(3, vtime.Time(2500*vtime.Millisecond))
+		cfg.Script = scenario.Crash(3, vtime.Time(2500*vtime.Millisecond))
 		return cfg
 	}
 	for _, tc := range []struct {
@@ -351,7 +351,7 @@ func TestSolverFailureFallsBackToSpread(t *testing.T) {
 			// solveCfg's first round installs a plan at 2 s, so the queries
 			// share one assignment object by the time node 3 dies.
 			cfg := solveCfg()
-			cfg.FaultScenario = faults.Crash(3, vtime.Time(5*vtime.Second))
+			cfg.Script = scenario.Crash(3, vtime.Time(5*vtime.Second))
 			cfg.Checkpoint = checkpoint.Config{Interval: vtime.Second}
 			return cfg
 		}, func(t *testing.T, s *System) {

@@ -107,18 +107,21 @@ type Config struct {
 	MaxStep int
 }
 
-// DefaultConfig returns conservative thresholds for the given node
-// bounds: scale out after 3 overloaded polls at >50% pressure, scale
-// in after 10 idle polls below 10%, with a 15-poll cooldown.
+// DefaultConfig returns thresholds sized to the simulator's signal
+// dynamics for the given node bounds: netsim queue pressure ramps
+// slowly under overload, so the water marks sit low (scale out after 2
+// polls above 5%, scale in after 3 polls below 1%) and the cooldown is
+// 3 polls. The elastic experiment and sasparctl inspect -autoscale run
+// it; internal/core's elastic tests hold the calibration.
 func DefaultConfig(minNodes, maxNodes int) Config {
 	return Config{
 		MinNodes:      minNodes,
 		MaxNodes:      maxNodes,
-		HighWater:     0.5,
-		LowWater:      0.1,
-		UpPolls:       3,
-		DownPolls:     10,
-		CooldownPolls: 15,
+		HighWater:     0.05,
+		LowWater:      0.01,
+		UpPolls:       2,
+		DownPolls:     3,
+		CooldownPolls: 3,
 		MaxStep:       2,
 	}
 }

@@ -107,15 +107,6 @@ func (e *Engine) BeginCheckpoint(id int64) error {
 	return nil
 }
 
-// CheckpointInFlight reports the id of the checkpoint barrier
-// currently aligning, if any.
-func (e *Engine) CheckpointInFlight() (int64, bool) {
-	if e.ckpt == nil || !e.ckpt.active {
-		return 0, false
-	}
-	return e.ckpt.id, true
-}
-
 // stageCheckpointCapture snapshots slot s's window state at its
 // barrier alignment point (exact mode; counting-mode state is
 // engine-global and is read once at completion) into a staged event;

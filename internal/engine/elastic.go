@@ -188,17 +188,6 @@ func (e *Engine) GroupsOnNode(n cluster.NodeID) int {
 	return count
 }
 
-// NodeSlots returns the partition-slot IDs hosted on node n.
-func (e *Engine) NodeSlots(n cluster.NodeID) []int {
-	var out []int
-	for _, s := range e.slots {
-		if s.node == n {
-			out = append(out, s.id)
-		}
-	}
-	return out
-}
-
 // LiveNodes reports how many nodes are neither crashed nor retired.
 func (e *Engine) LiveNodes() int {
 	live := 0

@@ -387,20 +387,6 @@ func (e *Engine) NumQueries() int { return len(e.queries) }
 // QuerySpecOf returns query qi's specification.
 func (e *Engine) QuerySpecOf(qi int) QuerySpec { return e.queries[qi].spec }
 
-// ClassMembers reports, for every route class of a stream, the member
-// query indexes — the structural metadata the statistics collector and
-// optimizer consume.
-func (e *Engine) ClassMembers(s StreamID) [][]int {
-	plan := e.plans[s]
-	out := make([][]int, len(plan.classes))
-	for i, rc := range plan.classes {
-		for _, m := range rc.members {
-			out[i] = append(out[i], m.q.idx)
-		}
-	}
-	return out
-}
-
 // Run advances the simulation by d of virtual time. A non-positive
 // duration is a caller bug (a miscomputed warm-up or measurement
 // interval) that would silently no-op, so it is rejected.

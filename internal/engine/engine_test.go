@@ -488,6 +488,19 @@ type samplerFunc func(SampleVec)
 
 func (f samplerFunc) Sample(v SampleVec) { f(v) }
 
+// classMembers reports, for every route class of a stream, the member
+// query indexes.
+func classMembers(e *Engine, s StreamID) [][]int {
+	plan := e.plans[s]
+	out := make([][]int, len(plan.classes))
+	for i, rc := range plan.classes {
+		for _, m := range rc.members {
+			out[i] = append(out[i], m.q.idx)
+		}
+	}
+	return out
+}
+
 func TestClassMembersCollapseIdenticalQueries(t *testing.T) {
 	cfg := lightConfig()
 	cfg.ExactWindows = false
@@ -496,7 +509,7 @@ func TestClassMembersCollapseIdenticalQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := e.ClassMembers(0)
+	cm := classMembers(e, 0)
 	if len(cm) != 2 {
 		t.Fatalf("got %d route classes, want 2", len(cm))
 	}

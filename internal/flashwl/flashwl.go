@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"saspar/internal/engine"
+	"saspar/internal/scenario"
 	"saspar/internal/vtime"
 	"saspar/internal/workload"
 )
@@ -109,8 +110,8 @@ func New(cfg Config) (*workload.Workload, error) {
 	for c := 0; c < cycles; c++ {
 		base := vtime.Time(0).Add(vtime.Duration(c) * cfg.Period)
 		w.Schedule = append(w.Schedule,
-			workload.RatePhase{Start: base.Add(cfg.FlashStart), Scale: cfg.FlashScale},
-			workload.RatePhase{Start: base.Add(cfg.FlashEnd), Scale: 1},
+			scenario.Event{At: base.Add(cfg.FlashStart), Kind: scenario.KindRate, Rate: cfg.BaseRate * cfg.FlashScale},
+			scenario.Event{At: base.Add(cfg.FlashEnd), Kind: scenario.KindRate, Rate: cfg.BaseRate},
 		)
 	}
 	return w, w.Validate()

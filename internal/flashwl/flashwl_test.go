@@ -13,7 +13,17 @@ func TestScheduleSwingsTenfold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := func(d vtime.Duration) float64 { return w.ScaleAt(vtime.Time(0).Add(d)) }
+	// at replays the schedule's rate events up to d, as a fraction of
+	// the calm-phase rate.
+	at := func(d vtime.Duration) float64 {
+		rate := w.Rates[0]
+		for _, ev := range w.Schedule.Sorted() {
+			if ev.At <= vtime.Time(0).Add(d) {
+				rate = ev.Rate
+			}
+		}
+		return rate / w.Rates[0]
+	}
 	if s := at(0); s != 1 {
 		t.Fatalf("calm phase scale %v, want 1", s)
 	}

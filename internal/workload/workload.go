@@ -8,7 +8,7 @@ import (
 	"fmt"
 
 	"saspar/internal/engine"
-	"saspar/internal/vtime"
+	"saspar/internal/scenario"
 )
 
 // Workload bundles everything a system under test needs to run.
@@ -19,19 +19,11 @@ type Workload struct {
 	// Rates holds the offered rate per stream in modelled tuples per
 	// virtual second.
 	Rates []float64
-	// Schedule, when non-empty, is a piecewise-constant load schedule:
-	// from each phase's Start the offered rates are Rates scaled by the
-	// phase's Scale factor. Before the first phase the scale is 1.
-	// Drivers poll ScaleAt and re-apply rates when the scale changes;
-	// workloads without a schedule run at Rates throughout.
-	Schedule []RatePhase
-}
-
-// RatePhase is one step of a load schedule: from Start onward, offered
-// rates are the workload's base Rates multiplied by Scale.
-type RatePhase struct {
-	Start vtime.Time
-	Scale float64
+	// Schedule holds the workload's own rate events, when it has any:
+	// from each event's time on, that stream offers the event's rate
+	// instead of Rates. Drivers hand it to core.Config.Script, which
+	// replays it; workloads without one run at Rates throughout.
+	Schedule scenario.Script
 }
 
 // Validate checks internal consistency.
@@ -57,35 +49,12 @@ func (w *Workload) Validate() error {
 			}
 		}
 	}
-	for i, ph := range w.Schedule {
-		if ph.Scale <= 0 {
-			return fmt.Errorf("workload %s: schedule phase %d has non-positive scale %v", w.Name, i, ph.Scale)
-		}
-		if i > 0 && ph.Start <= w.Schedule[i-1].Start {
-			return fmt.Errorf("workload %s: schedule phase %d start %v not after phase %d", w.Name, i, ph.Start, i-1)
-		}
+	// A schedule strikes no nodes: with no nodes to target, Validate
+	// rejects every fault event.
+	if err := w.Schedule.Validate(0, len(w.Streams)); err != nil {
+		return fmt.Errorf("workload %s: schedule: %w", w.Name, err)
 	}
 	return nil
-}
-
-// ScaleAt reports the schedule's rate multiplier at virtual time t: the
-// Scale of the latest phase whose Start is ≤ t, or 1 before the first
-// phase (and always 1 without a schedule).
-func (w *Workload) ScaleAt(t vtime.Time) float64 {
-	scale := 1.0
-	for _, ph := range w.Schedule {
-		if ph.Start > t {
-			break
-		}
-		scale = ph.Scale
-	}
-	return scale
-}
-
-// ApplyRatesAt sets the offered rates for virtual time t: the base
-// rates, the schedule's multiplier at t, and the caller's scale.
-func (w *Workload) ApplyRatesAt(e *engine.Engine, t vtime.Time, scale float64) {
-	w.ApplyRates(e, scale*w.ScaleAt(t))
 }
 
 // ApplyRates sets the offered rates on an engine built from this

@@ -19,8 +19,9 @@
 #                      optimizer's parallel component solver
 #                      (internal/optimizer) and the telemetry registry
 #                      written to from harness workers (internal/obs) —
-#                      under the race detector, plus the fault scheduler
-#                      (internal/faults), the AQE controller
+#                      under the race detector, plus the scenario script
+#                      (internal/scenario) whose generator the pooled
+#                      crash harnesses call, the AQE controller
 #                      (internal/aqe), the checkpoint coordinator
 #                      (internal/checkpoint) whose recovery paths run
 #                      inside pooled harness cells and whose delta
@@ -55,14 +56,19 @@
 #                      the wire decoder against hostile frames, the
 #                      greedy optimizer tier against the B&B optimum,
 #                      the autoscaler policy's rate-limit/bounds
-#                      safety properties, and the checkpoint delta
-#                      chain's materialize/fixpoint invariants — seeded
-#                      from testdata/fuzz corpora
+#                      safety properties, the checkpoint delta
+#                      chain's materialize/fixpoint invariants, and the
+#                      scenario script's text form (any input fails or
+#                      round-trips exactly) — seeded from testdata/fuzz
+#                      corpora and the committed *.script files
 #   benchmark module   benchmark/ is its own module that compiles against
 #                      internal/ APIs (Engine.Results, core.ExportRequest,
 #                      runtime.Server): vet it and run its short tests, so
 #                      a change that breaks it fails here and not at the
 #                      benchmark gate
+#   inspect smoke      replays internal/core/testdata/faults.script
+#                      through sasparctl inspect and asserts the report
+#                      shows the crash injected and recovered
 #   serve smoke        boots sasparctl serve on loopback, blasts a
 #                      fixed row budget through the binary ingest
 #                      protocol, and asserts the /report saw every row
@@ -90,7 +96,7 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrent packages)"
-go test -race ./internal/parallel/ ./internal/optimizer/ ./internal/obs/ ./internal/faults/ ./internal/aqe/ ./internal/checkpoint/ ./internal/engine/ ./internal/core/ ./internal/runtime/ ./internal/elastic/ ./internal/mip/
+go test -race ./internal/parallel/ ./internal/optimizer/ ./internal/obs/ ./internal/scenario/ ./internal/aqe/ ./internal/checkpoint/ ./internal/engine/ ./internal/core/ ./internal/runtime/ ./internal/elastic/ ./internal/mip/
 
 echo "== go test -fuzz (smoke)"
 go test -run '^$' -fuzz FuzzSubsetRemap -fuzztime 10s ./internal/keyspace/
@@ -100,13 +106,24 @@ go test -run '^$' -fuzz FuzzWire -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzGreedyVsBB -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzPolicyStep -fuzztime 10s ./internal/elastic/
 go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
+go test -run '^$' -fuzz FuzzScript -fuzztime 10s ./internal/scenario/
 
 echo "== benchmark module (vet + short tests)"
 (cd benchmark && go vet ./... && go test -short ./...)
 
-echo "== serve smoke (loopback ingest)"
 ctl=$(mktemp -t sasparctl.XXXXXX)
 go build -o "$ctl" ./cmd/sasparctl
+
+echo "== inspect smoke (scenario script replay)"
+inspect_out=$("$ctl" inspect -script internal/core/testdata/faults.script \
+    -queries 2 -duration 12s -events 0)
+echo "$inspect_out" | grep '^faults'
+if ! echo "$inspect_out" | grep -q '^faults  *1 injected, [0-9]* detected, 1 recovered'; then
+    echo "inspect smoke: the scripted crash was not injected and recovered" >&2
+    exit 1
+fi
+
+echo "== serve smoke (loopback ingest)"
 "$ctl" serve -addr 127.0.0.1:17420 -http 127.0.0.1:17421 &
 serve_pid=$!
 blast_out=""
