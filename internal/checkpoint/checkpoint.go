@@ -10,9 +10,9 @@
 // Recovery integration lives in internal/core: when the degraded-mode
 // loop finishes evacuating a dead node's key groups, it re-installs
 // their state from the newest checkpoint that completed before the
-// fault was detected (exactly-once for counting state; at-least-once
-// for exact joins, whose buffers are flattened per window instance at
-// capture — the same duplication live state movement has).
+// fault was detected. Counting state folds back once; exact state
+// restores its aggregate partials and each buffered join row once,
+// re-expanded into the window instances still open at the new owner.
 package checkpoint
 
 import (

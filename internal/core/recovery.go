@@ -146,8 +146,8 @@ func (s *System) noteDestroyed() {
 // fault's detection time, or a drain's start). The state ships from the
 // snapshot-store courier node to each group's new owner over the
 // simulated network; the restore time reported is the slowest transfer
-// (restores fan out in parallel). Counting-mode state restores exactly
-// once; exact-mode join buffers at-least-once (see engine.RestoreGroup).
+// (restores fan out in parallel). Counting-mode state and exact-mode
+// partials and join rows restore once each (see engine.RestoreGroup).
 func (s *System) restoreFromCheckpoint(before vtime.Time) {
 	// Pick up cells destroyed after detection (e.g. moved state torn
 	// up in flight while the evacuation was still running).

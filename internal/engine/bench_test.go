@@ -106,8 +106,8 @@ func benchEngine(b *testing.B, shared bool, queries int) *Engine {
 	return benchEngineAt(b, shared, queries, microFixture)
 }
 
-func benchEngineAt(b *testing.B, shared bool, queries int, fx benchFixture) *Engine {
-	b.Helper()
+func benchEngineAt(tb testing.TB, shared bool, queries int, fx benchFixture) *Engine {
+	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.Nodes = 4
 	cfg.NumPartitions = 8
@@ -118,7 +118,7 @@ func benchEngineAt(b *testing.B, shared bool, queries int, fx benchFixture) *Eng
 	cfg.Shared = shared
 	e, err := New(cfg, benchStreams(), benchQueries(queries))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e.SetStreamRate(0, fx.rateA)
 	e.SetStreamRate(1, fx.rateB)

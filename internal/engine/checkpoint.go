@@ -129,36 +129,7 @@ func (e *Engine) stageCheckpointCapture(s *slot, m *Marker) {
 	for k := range s.pendingState {
 		ev.pend = append(ev.pend, k)
 	}
-	var frags []CkptGroup
-	idx := map[pendKey]int{}
-	grp := func(qi int, g keyspace.GroupID) int {
-		k := pendKey{qi, g}
-		i, ok := idx[k]
-		if !ok {
-			i = len(frags)
-			idx[k] = i
-			frags = append(frags, CkptGroup{Query: qi, Group: g})
-		}
-		return i
-	}
-	for qi, st := range s.exact {
-		if st.agg != nil {
-			for ak, acc := range st.agg {
-				i := grp(qi, e.space.GroupOf(ak.key))
-				frags[i].Agg = append(frags[i].Agg, AggPartial{Win: ak.win, Key: ak.key, Sum: acc.sum, Weight: acc.weight})
-			}
-		}
-		for side := range st.join {
-			for ak, buf := range st.join[side] {
-				if len(buf) == 0 {
-					continue
-				}
-				i := grp(qi, e.space.GroupOf(ak.key))
-				frags[i].Join[side] = append(frags[i].Join[side], buf...)
-			}
-		}
-	}
-	ev.frags = frags
+	ev.frags = e.captureExact(s)
 }
 
 // ckptMergeHook folds a moved group's just-landed state into the
@@ -355,10 +326,9 @@ func (e *Engine) barrierAge(barrier vtime.Time, tau float64) float64 {
 // fold into the engine-global EWMA exactly once, decayed for the
 // virtual time elapsed since barrier — the slice of the snapshot that
 // would already have slid out of the window by restore time must not
-// be re-installed. Exact-mode join buffers were flattened per window
-// instance at capture (the same quirk as live state movement), so
-// sliding-window joins restore at-least-once — duplicates are
-// possible, exact aggregates and counting state are not affected.
+// be re-installed. Exact-mode join rows are captured once each and
+// re-expanded into every window instance containing them that is still
+// open at the owner, so sliding joins restore what the source held.
 // Returns the modelled bytes shipped for the restore; 0 when the query
 // is gone or the owner's node is down.
 func (e *Engine) RestoreGroup(cg CkptGroup, barrier vtime.Time) float64 {
@@ -445,38 +415,7 @@ func (e *Engine) destroyNodeState(n cluster.NodeID) float64 {
 		if s.node != n {
 			continue
 		}
-		qis := make([]int, 0, len(s.exact))
-		for qi := range s.exact {
-			qis = append(qis, qi)
-		}
-		sort.Ints(qis)
-		for _, qi := range qis {
-			st := s.exact[qi]
-			bpt := e.streams[e.queries[qi].spec.Inputs[0].Stream].BytesPerTuple
-			if st.agg != nil {
-				keys := make([]aggMapKey, 0, len(st.agg))
-				for ak := range st.agg {
-					keys = append(keys, ak)
-				}
-				sortAggKeys(keys)
-				for _, ak := range keys {
-					lost += st.agg[ak].weight * bpt
-					e.markStateDestroyed(pendKey{qi, e.space.GroupOf(ak.key)})
-				}
-			}
-			for side := range st.join {
-				keys := make([]aggMapKey, 0, len(st.join[side]))
-				for ak := range st.join[side] {
-					keys = append(keys, ak)
-				}
-				sortAggKeys(keys)
-				for _, ak := range keys {
-					lost += float64(len(st.join[side][ak])) * bpt
-					e.markStateDestroyed(pendKey{qi, e.space.GroupOf(ak.key)})
-				}
-			}
-		}
-		s.exact = nil
+		lost += e.destroyExact(s)
 		heldKeys := make([]pendKey, 0, len(s.held))
 		for k := range s.held {
 			heldKeys = append(heldKeys, k)

@@ -97,8 +97,15 @@ func TestSlidingWindowMassConservation(t *testing.T) {
 	}
 }
 
-// joinEngine builds a single exact join over two small streams.
+// joinEngine builds a single exact tumbling join over two small
+// streams.
 func joinEngine(t *testing.T) *Engine {
+	t.Helper()
+	return joinEngineOver(t, WindowSpec{Range: vtime.Second, Slide: vtime.Second})
+}
+
+// joinEngineOver is joinEngine with the given window.
+func joinEngineOver(t *testing.T, win WindowSpec) *Engine {
 	t.Helper()
 	cfg := lightConfig()
 	streams := []StreamDef{testStream("l", 8), testStream("r", 8)}
@@ -108,7 +115,7 @@ func joinEngine(t *testing.T) *Engine {
 			{Stream: 0, Key: KeySpec{0}},
 			{Stream: 1, Key: KeySpec{0}},
 		},
-		Window: WindowSpec{Range: vtime.Second, Slide: vtime.Second},
+		Window: win,
 	}
 	e, err := New(cfg, streams, []QuerySpec{q})
 	if err != nil {
@@ -120,11 +127,22 @@ func joinEngine(t *testing.T) *Engine {
 }
 
 func TestReconfigurationPreservesJoinMatches(t *testing.T) {
+	checkJoinMatchesPreserved(t, WindowSpec{Range: vtime.Second, Slide: vtime.Second})
+}
+
+// TestReconfigurationPreservesSlidingJoinMatches is the sliding-window
+// case: a buffered row sits in two window instances, and must move —
+// and re-expand at its new owner — once, not once per instance.
+func TestReconfigurationPreservesSlidingJoinMatches(t *testing.T) {
+	checkJoinMatchesPreserved(t, WindowSpec{Range: 2 * vtime.Second, Slide: vtime.Second})
+}
+
+func checkJoinMatchesPreserved(t *testing.T, win WindowSpec) {
 	// Total join matches over a fixed horizon must be identical with
 	// and without a live re-partitioning: held tuples replay against
 	// the merged buffers, so no match is lost or duplicated.
 	run := func(reconfig bool) float64 {
-		e := joinEngine(t)
+		e := joinEngineOver(t, win)
 		e.Metrics().StartMeasurement(0)
 		e.Run(6 * vtime.Second)
 		if reconfig {
@@ -207,7 +225,7 @@ func TestHeldTuplesReplayAfterMerge(t *testing.T) {
 	var tu Tuple
 	tu.Cols[2] = 5
 	e.insert(s, e.queries[0], 0, &tu, g, 1)
-	if st := s.exact[0]; st != nil && len(st.agg) != 0 {
+	if aggCells(s, 0) != 0 {
 		t.Fatal("tuple folded despite pending state")
 	}
 	if s.held[pendKey{0, g}].rows() != 1 {
@@ -218,7 +236,20 @@ func TestHeldTuplesReplayAfterMerge(t *testing.T) {
 	if got := s.held[pendKey{0, g}].rows(); got != 0 {
 		t.Fatalf("%d tuples still parked after merge", got)
 	}
-	if st := e.exactState(s, 0); len(st.agg) == 0 {
+	if aggCells(s, 0) == 0 {
 		t.Fatal("replayed tuple missing from state")
 	}
+}
+
+// aggCells counts query qi's live aggregation cells on slot s, over
+// every open window instance.
+func aggCells(s *slot, qi int) int {
+	if qi >= len(s.exact) {
+		return 0
+	}
+	n := 0
+	for _, wt := range s.exact[qi].wins {
+		n += len(wt.agg.keys)
+	}
+	return n
 }

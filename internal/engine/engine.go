@@ -664,7 +664,7 @@ func (e *Engine) RemoveQuery(qi int) error {
 	e.ckptDropQuery(qi)
 	e.qcount[qi] = newQCounting(len(e.queries[qi].spec.Inputs), e.cfg.NumGroups)
 	for _, s := range e.slots {
-		delete(s.exact, qi)
+		s.dropExact(qi)
 		for k := range s.pendingState {
 			if k.query == qi {
 				delete(s.pendingState, k)

@@ -136,7 +136,6 @@ const (
 	evtJIT                        // post-alignment compile burst (obs event)
 	evtExtract                    // moved-away state ready for dispatch
 	evtStray                      // iterator-guard reroute of a stray tuple
-	evtResult                     // exact-mode window result emission
 	evtCkptCapture                // slot's checkpoint capture fragments
 	evtCkptMerge                  // landed moved state folding into a capture
 )
@@ -160,8 +159,6 @@ type slotEvt struct {
 	side int              // evtStray
 	t    Tuple            // evtStray
 
-	res AggResult // evtResult
-
 	frags []CkptGroup // evtCkptCapture: per-(query,group) fragments
 	pend  []pendKey   // evtCkptCapture: groups pending in-flight state
 
@@ -174,7 +171,8 @@ type slotEvt struct {
 // phase worker, drained by the sequential barrier-A fold.
 type slotFx struct {
 	events  []slotEvt
-	markers int // marker entries consumed (markersInFlight bookkeeping)
+	results []AggResult // exact-mode window results, in emission order
+	markers int         // marker entries consumed (markersInFlight bookkeeping)
 
 	// outstanding is the staged delta to the engine's outstanding-state
 	// counter (mergeState decrements).
@@ -384,8 +382,6 @@ func (e *Engine) foldSlotPhase(off int) {
 				ev.en = nil
 			case evtStray:
 				e.dispatchStray(s, ev)
-			case evtResult:
-				e.results[ev.res.Query].add(ev.res)
 			case evtCkptCapture:
 				e.foldCkptCapture(ev)
 				ev.frags, ev.pend = nil, nil
@@ -395,6 +391,12 @@ func (e *Engine) foldSlotPhase(off int) {
 			}
 		}
 		fx.events = fx.events[:0]
+		// Window results touch nothing the events above read, so they
+		// fold after them, still in slot order and emission order.
+		for _, r := range fx.results {
+			e.results[r.Query].add(r)
+		}
+		fx.results = fx.results[:0]
 	}
 }
 

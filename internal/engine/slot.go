@@ -151,8 +151,18 @@ type slot struct {
 	// until the state arrives (correctness guard of step 4).
 	pendingState map[pendKey]bool
 
-	// exact holds per-query concrete window state (exact mode only).
-	exact map[int]*qExactSlot
+	// exact holds per-query concrete window state (exact mode only),
+	// indexed by query; see exact.go.
+	exact []exactQuery
+	// winFree and slabFree recycle closed window instances and join-run
+	// chunks; cells, cellsTmp, rowScratch and one are reused scratch for
+	// sorted key walks, extracted row indexes and tuple-at-a-time
+	// inserts.
+	winFree         []*winTable
+	slabFree        [][]int64
+	cells, cellsTmp []keyIdx
+	rowScratch      []int32
+	one             TupleBlock
 	// held parks tuples of moved-in groups until their state merges:
 	// one columnar block per pending (query, group), the weight lane
 	// carrying each row's modelled weight, sides parallel to the rows.
@@ -342,13 +352,13 @@ func (s *slot) consume(e *Engine, nr *nodeRun, en *entry) {
 		s.consumeRuns(e, en, w)
 		return
 	}
-	cols := en.plan.laneCols
-	var t Tuple
+	// Rows are applied row-major — every class and member of row i
+	// before row i+1 — so a same-stream self-join probes and buffers in
+	// arrival order and every float fold sees one fixed sequence.
 	if en.plan.shared {
 		plan := en.plan
 		off := 0
 		for i := 0; i < en.n; i++ {
-			en.blk.RowTuple(&t, i, cols)
 			bits := en.classBits[i]
 			for _, rc := range plan.classes {
 				if bits&(1<<uint(rc.id)) == 0 {
@@ -356,13 +366,12 @@ func (s *slot) consume(e *Engine, nr *nodeRun, en *entry) {
 				}
 				g := en.groups[off]
 				off++
-				s.insertClass(e, rc, &t, g, w, en)
+				s.insertClass(e, rc, i, g, w, en)
 			}
 		}
 	} else {
 		for i := 0; i < en.n; i++ {
-			en.blk.RowTuple(&t, i, cols)
-			s.insertClass(e, en.class, &t, en.groups[i], w, en)
+			s.insertClass(e, en.class, i, en.groups[i], w, en)
 		}
 	}
 }
@@ -413,25 +422,28 @@ func (s *slot) consumeRuns(e *Engine, en *entry, w float64) {
 	}
 }
 
-// insertClass feeds one tuple of one route class into every member
-// query's window operator, guarded by the iterator: a tuple whose
+// insertClass feeds row i of a data entry's block for one route class
+// into every member query's window operator — exact state reads the
+// row straight from the lanes — guarded by the iterator: a tuple whose
 // routing-time assignment does not place its key group on this slot is
 // sent back to the source operator for re-partitioning (step 4's guard
 // role). The check uses the class's routing-time table, so in-flight
 // pre-marker tuples are processed where their state (and its eventual
 // extraction) lives.
-func (s *slot) insertClass(e *Engine, rc *routeClass, t *Tuple, g keyspace.GroupID, w float64, en *entry) {
-	lat := vtime.Max(en.arriveAt, e.clock.Add(-e.cfg.Tick)).Sub(t.TS)
+func (s *slot) insertClass(e *Engine, rc *routeClass, i int, g keyspace.GroupID, w float64, en *entry) {
+	lat := vtime.Max(en.arriveAt, e.clock.Add(-e.cfg.Tick)).Sub(en.blk.TS[i])
 	if int(rc.assign.Partition(g)) != s.id {
 		// Stray reroutes draw from the engine RNG and the shared
 		// network budget, so they stage for the barrier-A fold.
+		var t Tuple
+		en.blk.RowTuple(&t, i, en.plan.laneCols)
 		if !e.cfg.ExactWindows {
 			m := rc.members[0]
-			e.stageStray(s, m.q.idx, g, w*float64(len(rc.members)), t, m.side)
+			e.stageStray(s, m.q.idx, g, w*float64(len(rc.members)), &t, m.side)
 			return
 		}
 		for _, m := range rc.members {
-			e.stageStray(s, m.q.idx, g, w, t, m.side)
+			e.stageStray(s, m.q.idx, g, w, &t, m.side)
 		}
 		return
 	}
@@ -444,13 +456,13 @@ func (s *slot) insertClass(e *Engine, rc *routeClass, t *Tuple, g keyspace.Group
 		// workloads with thousands of identical queries.
 		m := rc.members[0]
 		wTot := w * float64(len(rc.members))
-		e.insert(s, m.q, m.side, t, g, wTot)
+		e.insertRun(s, m.q, m.side, g, wTot)
 		e.metrics.recordProcessed(part, m.q.idx, wTot)
 		e.metrics.recordLatency(part, m.q.idx, lat, wTot)
 		return
 	}
 	for _, m := range rc.members {
-		e.insert(s, m.q, m.side, t, g, w)
+		e.insertRow(s, m.q, m.side, &en.blk, i, g, w)
 		e.metrics.recordProcessed(part, m.q.idx, w)
 		e.metrics.recordLatency(part, m.q.idx, lat, w)
 	}

@@ -35,19 +35,25 @@ func (w WindowSpec) Panes() int {
 // WindowsOf returns the start times of every window instance containing
 // event time ts (window instances are aligned to multiples of Slide).
 func (w WindowSpec) WindowsOf(ts vtime.Time) []vtime.Time {
-	first := ts - ts%vtime.Time(w.Slide) // start of the newest window containing ts
-	n := w.Panes()
-	out := make([]vtime.Time, 0, n)
-	for i := 0; i < n; i++ {
-		s := first - vtime.Time(i)*vtime.Time(w.Slide)
-		if s < 0 {
-			break
-		}
-		if s.Add(w.Range) > ts { // ts inside [s, s+Range)
-			out = append(out, s)
-		}
+	newest, n := w.span(ts)
+	out := make([]vtime.Time, n)
+	for i := range out {
+		out[i] = newest - vtime.Time(i)*vtime.Time(w.Slide)
 	}
 	return out
+}
+
+// span is WindowsOf without the slice: the windows containing ts start
+// at newest, newest−Slide, … (n of them, newest first). A start s
+// holds ts iff s <= ts < s+Range, so the run stops at the first start
+// that is negative or ends at or before ts; there are at most Panes.
+func (w WindowSpec) span(ts vtime.Time) (newest vtime.Time, n int) {
+	slide := vtime.Time(w.Slide)
+	newest = ts - ts%slide
+	for s := newest; s >= 0 && s.Add(w.Range) > ts; s -= slide {
+		n++
+	}
+	return newest, n
 }
 
 // Input is one input stream of a query: which stream, what partitioning

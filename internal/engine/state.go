@@ -16,8 +16,10 @@ import (
 // quantity the AQE protocol must ship when a key group moves (Fig. 9).
 //
 // Exact mode maintains concrete window state — real sums, real join
-// buffers — and emits verifiable results; it exists so correctness
-// tests can prove that live re-partitioning never changes query output.
+// buffers — and emits verifiable results; it is what `sasparctl serve`
+// runs, and what lets correctness tests prove that live
+// re-partitioning never changes query output. Its layout lives in
+// exact.go.
 
 // qCounting is a query's counting-mode state.
 type qCounting struct {
@@ -70,18 +72,6 @@ func (c *qCounting) decayToMemo(side int, g keyspace.GroupID, now vtime.Time, ta
 	}
 }
 
-// aggMapKey addresses one window instance of one grouping key.
-type aggMapKey struct {
-	win vtime.Time
-	key uint64
-}
-
-// aggAcc is a partial aggregate: SUM(col) with the modelled weight.
-type aggAcc struct {
-	sum    float64
-	weight float64
-}
-
 // AggPartial is the wire form of a partial aggregate moved between
 // slots during re-partitioning — and the unit checkpoints capture and
 // restore (see checkpoint.go), which is why it is exported and
@@ -116,36 +106,6 @@ func SortAggResults(rs []AggResult) {
 	})
 }
 
-// qExactSlot is one query's concrete window state on one slot.
-type qExactSlot struct {
-	agg  map[aggMapKey]*aggAcc
-	join [2]map[aggMapKey][]Tuple
-}
-
-func newQExactSlot(kind OpKind) *qExactSlot {
-	st := &qExactSlot{}
-	if kind == OpAggregate {
-		st.agg = make(map[aggMapKey]*aggAcc)
-	} else {
-		st.join[0] = make(map[aggMapKey][]Tuple)
-		st.join[1] = make(map[aggMapKey][]Tuple)
-	}
-	return st
-}
-
-// exactState lazily fetches a slot's state for a query.
-func (e *Engine) exactState(s *slot, qi int) *qExactSlot {
-	if s.exact == nil {
-		s.exact = make(map[int]*qExactSlot)
-	}
-	st := s.exact[qi]
-	if st == nil {
-		st = newQExactSlot(e.queries[qi].spec.Kind)
-		s.exact[qi] = st
-	}
-	return st
-}
-
 // insertRun folds a whole run's weight into a query's counting-mode
 // window state in one update: one decay plus one rate bump per (query,
 // group) run, however many rows the run carried. wk is the run's total
@@ -167,112 +127,12 @@ func (e *Engine) insert(s *slot, q *queryInst, side int, t *Tuple, g keyspace.Gr
 		return
 	}
 
-	// A moved-in key group whose state is still in flight must not be
-	// probed or folded yet: a join tuple would miss matches against the
-	// buffered state, an aggregate would emit before merging. Hold the
-	// tuple; mergeState replays it.
-	if s.pendingState[pendKey{q.idx, g}] {
-		if s.held == nil {
-			s.held = map[pendKey]*heldBlock{}
-		}
-		k := pendKey{q.idx, g}
-		hb := s.held[k]
-		if hb == nil {
-			hb = &heldBlock{}
-			s.held[k] = hb
-		}
-		hb.blk.AppendRow(t, e.streams[q.spec.Inputs[side].Stream].NumCols, w)
-		hb.sides = append(hb.sides, uint8(side))
-		return
-	}
-
-	st := e.exactState(s, q.idx)
-	key := q.spec.Inputs[side].Key.KeyOf(t)
-	wins := q.spec.Window.WindowsOf(t.TS)
-	if q.spec.Kind == OpAggregate {
-		v := float64(t.Cols[q.spec.AggCol])
-		for _, win := range wins {
-			k := aggMapKey{win, key}
-			acc := st.agg[k]
-			if acc == nil {
-				acc = &aggAcc{}
-				st.agg[k] = acc
-			}
-			acc.sum += v * w
-			acc.weight += w
-		}
-		return
-	}
-	// Join: probe the opposite side, then buffer.
-	opp := st.join[1-side]
-	for _, win := range wins {
-		k := aggMapKey{win, key}
-		if ms := opp[k]; len(ms) > 0 {
-			e.metrics.recordEmitted(int(s.node), q.idx, w*float64(len(ms)))
-		}
-		st.join[side][k] = append(st.join[side][k], *t)
-	}
-}
-
-// closeExactWindows emits every window whose end passed the slot
-// watermark, unless its key group is awaiting moved-in state. Queries
-// and window keys are visited in sorted order: emitted results stage
-// for the global results log and fold at barrier A, so their sequence
-// — and the order of the per-result metric adds — must be a pure
-// function of the window contents, not of map iteration.
-func (e *Engine) closeExactWindows(s *slot) {
-	qis := make([]int, 0, len(s.exact))
-	for qi := range s.exact {
-		qis = append(qis, qi)
-	}
-	sort.Ints(qis)
-	for _, qi := range qis {
-		st := s.exact[qi]
-		q := e.queries[qi]
-		r := vtime.Time(q.spec.Window.Range)
-		if st.agg != nil {
-			keys := make([]aggMapKey, 0, len(st.agg))
-			for k := range st.agg {
-				if k.win+r > s.wm {
-					continue
-				}
-				if s.pendingState[pendKey{qi, e.space.GroupOf(k.key)}] {
-					continue
-				}
-				keys = append(keys, k)
-			}
-			sortAggKeys(keys)
-			for _, k := range keys {
-				acc := st.agg[k]
-				ev := s.fx.stage(evtResult)
-				ev.res = AggResult{Query: qi, Win: k.win, Key: k.key, Sum: acc.sum, Weight: acc.weight}
-				e.metrics.recordEmitted(int(s.node), qi, acc.weight)
-				delete(st.agg, k)
-			}
-		}
-		for side := range st.join {
-			for k := range st.join[side] {
-				if k.win+r > s.wm {
-					continue
-				}
-				g := e.space.GroupOf(k.key)
-				if s.pendingState[pendKey{qi, g}] {
-					continue
-				}
-				delete(st.join[side], k)
-			}
-		}
-	}
-}
-
-// sortAggKeys orders window-instance keys by (window start, key).
-func sortAggKeys(keys []aggMapKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].win != keys[j].win {
-			return keys[i].win < keys[j].win
-		}
-		return keys[i].key < keys[j].key
-	})
+	// Tuple-at-a-time callers (stray reroutes) go through a one-row
+	// block, the form the exact state reads.
+	cols := e.streams[q.spec.Inputs[side].Stream].NumCols
+	s.one.Resize(0, cols)
+	s.one.AppendRow(t, cols, w)
+	e.insertRow(s, q, side, &s.one, 0, g, w)
 }
 
 // extractState implements the local half of the iterator's state
@@ -281,8 +141,9 @@ func sortAggKeys(keys []aggMapKey) {
 // network legs and the courier-source RNG draw happen in
 // dispatchExtract, at the barrier, in canonical slot order — see the
 // second leg ("tuples sent back to the source operator") of Fig. 9.
-// Window keys extract in sorted order so en.stWeight (a float sum) and
-// the shipped payload order are map-iteration independent.
+// Exact state extracts in (window, key) order (see extractExact), so
+// en.stWeight (a float sum) and the shipped payload are a pure function
+// of the state.
 func (e *Engine) extractState(s *slot, nr *nodeRun, qi int, g keyspace.GroupID) {
 	q := e.queries[qi]
 	en := nr.newEntry()
@@ -292,38 +153,7 @@ func (e *Engine) extractState(s *slot, nr *nodeRun, qi int, g keyspace.GroupID) 
 	en.epoch = e.epoch
 
 	if e.cfg.ExactWindows {
-		if st := s.exact[qi]; st != nil {
-			if st.agg != nil {
-				keys := make([]aggMapKey, 0, len(st.agg))
-				for k := range st.agg {
-					if e.space.GroupOf(k.key) == g {
-						keys = append(keys, k)
-					}
-				}
-				sortAggKeys(keys)
-				for _, k := range keys {
-					acc := st.agg[k]
-					en.stAgg = append(en.stAgg, AggPartial{Win: k.win, Key: k.key, Sum: acc.sum, Weight: acc.weight})
-					en.stWeight += acc.weight
-					delete(st.agg, k)
-				}
-			}
-			for side := range st.join {
-				keys := make([]aggMapKey, 0, len(st.join[side]))
-				for k := range st.join[side] {
-					if e.space.GroupOf(k.key) == g {
-						keys = append(keys, k)
-					}
-				}
-				sortAggKeys(keys)
-				for _, k := range keys {
-					buf := st.join[side][k]
-					en.stJoin[side] = append(en.stJoin[side], buf...)
-					en.stWeight += float64(len(buf))
-					delete(st.join[side], k)
-				}
-			}
-		}
+		e.extractExact(s, en, qi, g)
 	} else {
 		// Counting cells are engine-global; safe here because extraction
 		// only happens on reconfiguration ticks, which the turbulence
@@ -365,26 +195,7 @@ func (e *Engine) extractState(s *slot, nr *nodeRun, qi int, g keyspace.GroupID) 
 func (e *Engine) mergeState(s *slot, en *entry, staged bool) {
 	qi := en.stQuery
 	if e.cfg.ExactWindows {
-		st := e.exactState(s, qi)
-		for _, p := range en.stAgg {
-			k := aggMapKey{p.Win, p.Key}
-			acc := st.agg[k]
-			if acc == nil {
-				acc = &aggAcc{}
-				st.agg[k] = acc
-			}
-			acc.sum += p.Sum
-			acc.weight += p.Weight
-		}
-		for side := range en.stJoin {
-			for i := range en.stJoin[side] {
-				t := &en.stJoin[side][i]
-				key := e.queries[qi].spec.Inputs[side].Key.KeyOf(t)
-				for _, win := range e.queries[qi].spec.Window.WindowsOf(t.TS) {
-					st.join[side][aggMapKey{win, key}] = append(st.join[side][aggMapKey{win, key}], *t)
-				}
-			}
-		}
+		e.mergeExact(s, en)
 	} else {
 		c := e.qcount[qi]
 		tau := e.queries[qi].spec.Window.Range.Seconds()
@@ -414,11 +225,8 @@ func (e *Engine) mergeState(s *slot, en *entry, staged bool) {
 	if hb := s.held[k]; hb != nil && hb.blk.Len() > 0 {
 		delete(s.held, k)
 		q := e.queries[qi]
-		var t Tuple
 		for i := 0; i < hb.blk.Len(); i++ {
-			side := int(hb.sides[i])
-			hb.blk.RowTuple(&t, i, e.streams[q.spec.Inputs[side].Stream].NumCols)
-			e.insert(s, q, side, &t, en.stGroup, hb.blk.W[i])
+			e.insertRow(s, q, int(hb.sides[i]), &hb.blk, i, en.stGroup, hb.blk.W[i])
 		}
 	}
 }

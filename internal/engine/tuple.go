@@ -59,6 +59,14 @@ func (ks KeySpec) KeyOf(t *Tuple) uint64 {
 	}
 }
 
+// keyAt folds the spec's columns of row i of a block — KeyOf without
+// gathering the row.
+func (ks KeySpec) keyAt(b *TupleBlock, i int) uint64 {
+	var k [1]uint64
+	ks.KeyOfBlock(b, i, i+1, k[:])
+	return k[0]
+}
+
 // KeyOfBlock folds the spec's columns for rows [from, to) of a block
 // into dst (indexed from 0, len >= to-from). One pass per column lane
 // rather than one Tuple gather per row — the columnar counterpart of
@@ -195,6 +203,21 @@ func (b *TupleBlock) AppendRow(t *Tuple, cols int, w float64) {
 	b.TS = append(b.TS, t.TS)
 	for c := 0; c < cols; c++ {
 		b.Col[c] = append(b.Col[c], t.Cols[c])
+	}
+	b.W = append(b.W, w)
+}
+
+// appendRowFrom appends row i of src over its first cols lanes with
+// weight w, zero-filling the remaining lanes so rows of streams of
+// different widths can share one block.
+func (b *TupleBlock) appendRowFrom(src *TupleBlock, i, cols int, w float64) {
+	b.TS = append(b.TS, src.TS[i])
+	for c := 0; c < MaxCols; c++ {
+		var v int64
+		if c < cols {
+			v = src.Col[c][i]
+		}
+		b.Col[c] = append(b.Col[c], v)
 	}
 	b.W = append(b.W, w)
 }

@@ -57,10 +57,14 @@
 #                      greedy optimizer tier against the B&B optimum,
 #                      the autoscaler policy's rate-limit/bounds
 #                      safety properties, the checkpoint delta
-#                      chain's materialize/fixpoint invariants, and the
+#                      chain's materialize/fixpoint invariants, the
 #                      scenario script's text form (any input fails or
-#                      round-trips exactly) — seeded from testdata/fuzz
-#                      corpora and the committed *.script files
+#                      round-trips exactly), and the flat exact-window
+#                      state against its map-based reference over random
+#                      insert / close / extract / merge / capture /
+#                      restore / destroy sequences — seeded from
+#                      testdata/fuzz corpora and the committed *.script
+#                      files
 #   benchmark module   benchmark/ is its own module that compiles against
 #                      internal/ APIs (Engine.Results, core.ExportRequest,
 #                      runtime.Server): vet it and run its short tests, so
@@ -107,6 +111,7 @@ go test -run '^$' -fuzz FuzzGreedyVsBB -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzPolicyStep -fuzztime 10s ./internal/elastic/
 go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScript -fuzztime 10s ./internal/scenario/
+go test -run '^$' -fuzz FuzzExactState -fuzztime 10s ./internal/engine/
 
 echo "== benchmark module (vet + short tests)"
 (cd benchmark && go vet ./... && go test -short ./...)
