@@ -192,6 +192,7 @@ type MLStatsResult struct {
 func AblationMLStats(sc Scale) (*MLStatsResult, error) {
 	groups := sc.Groups
 	col := stats.NewCollector(1, groups, 1)
+	col.ArmOverlap()
 	mix := keyspace.Mix64
 	for i := 0; i < 4000; i++ {
 		g0 := int(mix(uint64(i)) % uint64(groups))

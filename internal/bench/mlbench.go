@@ -30,6 +30,7 @@ type MLRow struct {
 func MLAccuracy(sc Scale) ([]MLRow, error) {
 	groups := sc.Groups
 	col := stats.NewCollector(1, groups, 1)
+	col.ArmOverlap()
 	hold := stats.NewCollector(1, groups, 1)
 
 	// Graded sharing structure: class 0's group g aligns with class 1's

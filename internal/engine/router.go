@@ -691,27 +691,29 @@ func (rt *routerTask) openBucket(e *Engine, nr *nodeRun, plan *streamPlan, bk, s
 // prepass fills the acceptance lane and picks the block's sampled rows
 // — row-major, classes ascending within a row: exactly the RNG draw
 // order of tuple-at-a-time execution, so outputs are byte-identical at
-// every batch size.
+// every batch size. A plan with no acceptance lane only samples, and
+// its picks are a stride.
 func (rt *routerTask) prepass(plan *streamPlan, m int) {
+	if !plan.checkAcc {
+		rt.sampScr = rt.gate.take(rt.sampScr, m)
+		return
+	}
 	tt, classes := &rt.shim, plan.classes
-	checkAcc, hasFilter, sampling := plan.checkAcc, plan.hasFilter, plan.sampling
+	hasFilter, sampling := plan.hasFilter, plan.sampling
 	for r := 0; r < m; r++ {
-		bits := ^uint64(0)
-		if checkAcc {
-			bits = 0
-			if hasFilter {
-				rt.blk.RowTuple(tt, r, plan.numCols)
+		var bits uint64
+		if hasFilter {
+			rt.blk.RowTuple(tt, r, plan.numCols)
+		}
+		for ci, rc := range classes {
+			ok := true
+			if rc.filter != nil {
+				ok = rc.filter(tt)
+			} else if rc.sel < 1 {
+				ok = rt.rng.Float64() < rc.sel
 			}
-			for ci, rc := range classes {
-				ok := true
-				if rc.filter != nil {
-					ok = rc.filter(tt)
-				} else if rc.sel < 1 {
-					ok = rt.rng.Float64() < rc.sel
-				}
-				if ok {
-					bits |= 1 << uint(ci)
-				}
+			if ok {
+				bits |= 1 << uint(ci)
 			}
 		}
 		rt.accScr[r] = bits
@@ -1013,7 +1015,10 @@ func (rt *routerTask) mergeRowLanes(e *Engine, nr *nodeRun, plan *streamPlan, m 
 func (rt *routerTask) stageSamples(plan *streamPlan) {
 	for _, sr := range rt.sampScr {
 		r := int(sr)
-		bits := rt.accScr[r]
+		bits := ^uint64(0)
+		if plan.checkAcc {
+			bits = rt.accScr[r]
+		}
 		ns := 0
 		for ci := range plan.classes {
 			if bits&(1<<uint(ci)) == 0 {
@@ -1406,4 +1411,18 @@ func (s *sampleGate) next() bool {
 		return true
 	}
 	return false
+}
+
+// take appends the rows of an m-row block that next, asked once per
+// row, would pick — every−n−1, then every every-th — and leaves the
+// gate where those m calls would.
+func (s *sampleGate) take(dst []int32, m int) []int32 {
+	if s.every <= 0 {
+		return dst
+	}
+	for r := s.every - s.n - 1; r < m; r += s.every {
+		dst = append(dst, int32(r))
+	}
+	s.n = (s.n + m) % s.every
+	return dst
 }

@@ -229,6 +229,9 @@ func checkTick(t *testing.T, e *Engine, rt *routerTask, sends []pendingSend, row
 		}
 	}
 	want, wantSamples := referenceRoute(e, plan, rows, rng, &gate)
+	if rt.gate != gate {
+		t.Fatalf("sample gate left at %+v, reference %+v", rt.gate, gate)
+	}
 	keys := make([]int, 0, len(want))
 	for bk := range want {
 		keys = append(keys, bk)
@@ -386,6 +389,51 @@ func TestKernelsMatchRowAtATimeReference(t *testing.T) {
 	for k, saw := range sawMerge {
 		if !saw {
 			t.Errorf("no shape compiles to merge kernel %d", k)
+		}
+	}
+}
+
+// TestSampleStrideMatchesGate holds the stride a plan with no
+// acceptance lane samples by to the per-row gate: at spacings below,
+// across and above a block and a whole tick (153–154 rows), at every
+// batch size, the sampled rows and the gate phase carried into the
+// next block and tick are the ones next picks row by row.
+func TestSampleStrideMatchesGate(t *testing.T) {
+	for _, name := range []string{"shared/pow2/1", "shared/pow2/2", "shared/exact/pow2/2"} {
+		for _, every := range []int{1, 2, 5, 64, 200} {
+			for _, batch := range []int{1, 7, 64} {
+				t.Run(fmt.Sprintf("%s/every%d/batch%d", name, every, batch), func(t *testing.T) {
+					e, src := kernelEngine(t, shapeNamed(t, name), batch)
+					e.SetSampler(samplerFunc(func(SampleVec) {}), every)
+					if p := e.plans[0]; !p.sampling || p.checkAcc {
+						t.Fatalf("plan sampling=%v checkAcc=%v, want a sampled all-accepting plan", p.sampling, p.checkAcc)
+					}
+					for tick := int64(0); tick < 4; tick++ {
+						tickAndCheck(t, e, src, 100+tick)
+					}
+				})
+			}
+		}
+	}
+	// The stride against the gate directly, from every phase.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		every := rng.Intn(12) - 1
+		g := sampleGate{every: every}
+		if every > 0 {
+			g.n = rng.Intn(every)
+		}
+		ref, n0, m := g, g.n, rng.Intn(40)
+		var want []int32
+		for r := 0; r < m; r++ {
+			if ref.next() {
+				want = append(want, int32(r))
+			}
+		}
+		got := g.take(nil, m)
+		if !reflect.DeepEqual(got, want) || g != ref {
+			t.Fatalf("every %d from %d over %d rows: take %v leaving %+v, next %v leaving %+v",
+				every, n0, m, got, g, want, ref)
 		}
 	}
 }

@@ -188,8 +188,9 @@ type Config struct {
 	FlowContentionCoeff float64
 
 	// ExactWindows maintains concrete window state (real sums, real
-	// join buffers) instead of weighted counters. Intended for
-	// correctness tests at small scale.
+	// join buffers, real results) instead of weighted counters. It is
+	// what every sasparctl command runs, serve included; the paper's
+	// figures run counters.
 	ExactWindows bool
 
 	Seed int64

@@ -343,6 +343,12 @@ type solver struct {
 	// suffixTrafficLB[gi] is an admissible lower bound on the traffic
 	// cost of groups groupOrder[gi:].
 	suffixTrafficLB []float64
+	// remainderLB[gi·C+ci] bounds the traffic of every decision from
+	// (group groupOrder[gi], class ci) on, for C classes: the undecided
+	// classes of that group pay at least their unshareable part at the
+	// cheapest latency, later groups the suffix bound. The search reads
+	// it at every node; it depends only on the decision.
+	remainderLB []float64
 	// totalCards[s]: total weighted cards of stream s; total/P bounds
 	// the final makespan from below.
 	totalCards []float64
@@ -433,6 +439,26 @@ func newSolver(in *Instance, opt Options) *solver {
 	s.suffixTrafficLB = make([]float64, n+1)
 	for gi := n - 1; gi >= 0; gi-- {
 		s.suffixTrafficLB[gi] = s.suffixTrafficLB[gi+1] + perGroupLB[s.groupOrder[gi]]
+	}
+	nc := len(in.Classes)
+	s.remainderLB = make([]float64, n*nc+1)
+	for d := range s.remainderLB {
+		gi, ci := d/nc, d%nc
+		var lb float64
+		if ci != 0 {
+			// Summed forward from ci, term by term: a suffix recurrence
+			// would reorder the additions and move node counts.
+			g := s.groupOrder[gi]
+			for c := ci; c < nc; c++ {
+				for _, cs := range in.Classes[c].Streams {
+					lb += cs.Card[g] * (1 - cs.SW[g]) * s.minLat
+				}
+			}
+			lb += s.suffixTrafficLB[gi+1]
+		} else {
+			lb += s.suffixTrafficLB[gi]
+		}
+		s.remainderLB[d] = lb
 	}
 	s.totalCards = make([]float64, in.NumStreams)
 	for _, c := range in.Classes {
@@ -669,7 +695,7 @@ func (s *solver) dfs(gi, ci int) {
 		}
 
 		// Bound: finalized traffic + optimistic remainder + makespan LB.
-		lb := s.trafficSo + s.remainderLB(nextGi, nextCi, g) + s.makespanLB()
+		lb := s.trafficSo + s.remainderLB[depth+1] + s.makespanLB()
 		if lb < s.best {
 			s.dfs(nextGi, nextCi)
 		}
@@ -690,25 +716,6 @@ func (s *solver) dfs(gi, ci int) {
 			return
 		}
 	}
-}
-
-// remainderLB bounds the traffic of all undecided (class, group) pairs:
-// unassigned classes of the current group pay at least their
-// unshareable part at the cheapest latency; later groups use the
-// precomputed suffix bound.
-func (s *solver) remainderLB(gi, ci int, g int) float64 {
-	var lb float64
-	if ci != 0 {
-		for c := ci; c < len(s.in.Classes); c++ {
-			for _, cs := range s.in.Classes[c].Streams {
-				lb += cs.Card[g] * (1 - cs.SW[g]) * s.minLat
-			}
-		}
-		lb += s.suffixTrafficLB[gi+1]
-	} else {
-		lb += s.suffixTrafficLB[gi]
-	}
-	return lb
 }
 
 // makespanLB bounds the post-partition cost: per stream, the larger of

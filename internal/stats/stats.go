@@ -7,13 +7,16 @@
 // The collector consumes the engine's routed-tuple samples: each sample
 // carries, for one concrete tuple, the key group it falls into under
 // every route class of its stream. Counts are scaled back to modelled
-// tuples by a constant factor (sampling interval × tuple weight).
+// tuples by a constant factor (sampling interval × tuple weight). The
+// overlap matrix costs k² writes per sample for k classes and only the
+// random forest reads it, so it is built only when armed (ArmOverlap).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"saspar/internal/engine"
 	"saspar/internal/keyspace"
@@ -24,46 +27,36 @@ import (
 // Collector accumulates statistics for one engine run. It is driven by
 // the engine's single-threaded tick loop and performs no locking.
 type Collector struct {
-	numStreams int
-	numGroups  int
-	scale      float64 // modelled tuples represented per sample
+	numGroups int
+	scale     float64 // modelled tuples represented per sample
 
-	streams []*streamStats
+	streams []streamStats
 	samples int
-	from    vtime.Time // epoch start
 	now     vtime.Time
-
-	// prev holds the previous epoch's normalized per-class group
-	// distributions for drift detection.
-	prev []map[int][]float64
 }
 
+// streamStats holds one stream's per-group lanes, indexed by route-class
+// id (an id outside [0, MaxClasses) fails the index), allocated at first
+// use and zeroed in place by Reset. A class is in an epoch iff its bit is set.
 type streamStats struct {
-	// card[class][group]: scaled sample counts.
-	card map[int][]float64
-	// aligned[pair(c1,c2)][group]: co-occurrence of the SAME group id
-	// under both classes — the statistic Eq. 4's SharedWith needs.
-	aligned map[uint64][]float64
-	// cross[pack(c1,g1,c2,g2)]: full overlap counts for ML training.
-	cross map[uint64]float64
+	present     uint64                 // classes sampled this epoch
+	card        [MaxClasses][]float64  // [class][group]: scaled sample counts
+	aligned     [MaxClasses]*pairLanes // [c1][c2][group]: SAME-group co-occurrence, for Eq. 4's SharedWith
+	prev        [MaxClasses][]float64  // [class][group]: normalized distributions of the prevPresent classes
+	prevPresent uint64
+	cross       map[uint64]float64 // [pack(c1,g1,c2,g2)]: overlap counts; nil unless armed
 }
 
-func newStreamStats() *streamStats {
-	return &streamStats{
-		card:    map[int][]float64{},
-		aligned: map[uint64][]float64{},
-		cross:   map[uint64]float64{},
-	}
-}
+type pairLanes [MaxClasses][]float64
 
-// crossLaneBits is the width of each id lane in a crossKey. Group and
-// class ids must fit the lane or distinct (class, group) pairs would
-// silently collide and corrupt the overlap matrix.
-const crossLaneBits = 16
+// MaxClasses bounds the route-class ids a Collector accepts: the
+// engine's per-stream class cap, one bit of a presence word each.
+const MaxClasses = 64
 
 // MaxGroups is the largest group count a Collector accepts: the overlap
-// matrix packs group ids into 16-bit crossKey lanes.
-const MaxGroups = 1 << crossLaneBits
+// matrix packs group ids into 16-bit crossKey lanes, and a wider id
+// would silently collide with another (class, group) pair.
+const MaxGroups = 1 << 16
 
 // NewCollector builds a collector. scale is the number of modelled
 // tuples each sample represents (sampling interval × tuple weight).
@@ -74,21 +67,29 @@ func NewCollector(numStreams, numGroups int, scale float64) *Collector {
 	if numGroups > MaxGroups {
 		panic(fmt.Sprintf("stats: %d groups exceed the %d-entry crossKey lane", numGroups, MaxGroups))
 	}
-	c := &Collector{
-		numStreams: numStreams,
-		numGroups:  numGroups,
-		scale:      scale,
-		streams:    make([]*streamStats, numStreams),
-		prev:       make([]map[int][]float64, numStreams),
-	}
-	for i := range c.streams {
-		c.streams[i] = newStreamStats()
-		c.prev[i] = map[int][]float64{}
-	}
-	return c
+	return &Collector{numGroups: numGroups, scale: scale, streams: make([]streamStats, numStreams)}
 }
 
-func pairKey(c1, c2 int) uint64 { return uint64(c1)<<32 | uint64(uint32(c2)) }
+// ArmOverlap makes the collector build the cross-group overlap matrix
+// that Overlap and TrainingData read. Arm it at an epoch boundary, so
+// the matrix covers the whole epoch.
+func (c *Collector) ArmOverlap() {
+	if c.samples != 0 {
+		panic("stats: overlap matrix armed mid-epoch")
+	}
+	for i := range c.streams {
+		c.streams[i].cross = map[uint64]float64{}
+	}
+}
+
+// crossOf returns a stream's stats to a reader of the overlap matrix,
+// and panics if it was never armed: there is no matrix, not an empty one.
+func (c *Collector) crossOf(stream int) *streamStats {
+	if ss := &c.streams[stream]; ss.cross != nil {
+		return ss
+	}
+	panic("stats: overlap matrix read but never armed (ArmOverlap)")
+}
 
 // crossKey packs two (class, group) ids into four 16-bit lanes. Each
 // lane is masked: an id wider than its lane (or a sign-extended
@@ -98,34 +99,46 @@ func crossKey(c1 int, g1 keyspace.GroupID, c2 int, g2 keyspace.GroupID) uint64 {
 	return uint64(uint16(c1))<<48 | uint64(uint16(g1))<<32 | uint64(uint16(c2))<<16 | uint64(uint16(g2))
 }
 
+// lane returns *l, allocating it on first use.
+func (c *Collector) lane(l *[]float64) []float64 {
+	if *l == nil {
+		*l = make([]float64, c.numGroups)
+	}
+	return *l
+}
+
+// cardOf returns a class's card lane, nil unless the class was sampled
+// this epoch.
+func (ss *streamStats) cardOf(class int) []float64 {
+	if ss.present&(1<<uint(class)) == 0 {
+		return nil
+	}
+	return ss.card[class]
+}
+
 // Sample implements engine.Sampler.
 func (c *Collector) Sample(v engine.SampleVec) {
-	ss := c.streams[v.Stream]
+	ss := &c.streams[v.Stream]
 	c.samples++
 	c.now = v.Time
-	k := len(v.Classes)
-	for i := 0; i < k; i++ {
-		ci, gi := v.Classes[i], v.Groups[i]
-		cv := ss.card[ci]
-		if cv == nil {
-			cv = make([]float64, c.numGroups)
-			ss.card[ci] = cv
-		}
-		cv[gi] += c.scale
-		for j := 0; j < k; j++ {
+	for i, ci := range v.Classes {
+		gi := v.Groups[i]
+		c.lane(&ss.card[ci])[gi] += c.scale
+		ss.present |= 1 << uint(ci)
+		for j, cj := range v.Classes {
 			if i == j {
 				continue
 			}
-			cj, gj := v.Classes[j], v.Groups[j]
+			gj := v.Groups[j]
 			if gi == gj {
-				av := ss.aligned[pairKey(ci, cj)]
-				if av == nil {
-					av = make([]float64, c.numGroups)
-					ss.aligned[pairKey(ci, cj)] = av
+				if ss.aligned[ci] == nil {
+					ss.aligned[ci] = new(pairLanes)
 				}
-				av[gi] += c.scale
+				c.lane(&ss.aligned[ci][cj])[gi] += c.scale
 			}
-			ss.cross[crossKey(ci, gi, cj, gj)] += c.scale
+			if ss.cross != nil {
+				ss.cross[crossKey(ci, gi, cj, gj)] += c.scale
+			}
 		}
 	}
 }
@@ -135,7 +148,7 @@ func (c *Collector) Samples() int { return c.samples }
 
 // Card reports the scaled cardinality of (stream, class, group).
 func (c *Collector) Card(stream, class int, g keyspace.GroupID) float64 {
-	if cv := c.streams[stream].card[class]; cv != nil {
+	if cv := c.streams[stream].cardOf(class); cv != nil {
 		return cv[g]
 	}
 	return 0
@@ -144,9 +157,7 @@ func (c *Collector) Card(stream, class int, g keyspace.GroupID) float64 {
 // CardVector returns a copy of the per-group cardinalities of a class.
 func (c *Collector) CardVector(stream, class int) []float64 {
 	out := make([]float64, c.numGroups)
-	if cv := c.streams[stream].card[class]; cv != nil {
-		copy(out, cv)
-	}
+	copy(out, c.streams[stream].cardOf(class))
 	return out
 }
 
@@ -155,25 +166,20 @@ func (c *Collector) CardVector(stream, class int) []float64 {
 // group id under some other class — the alignment statistic the MIP
 // model's max-sharing term consumes (DESIGN.md §1).
 func (c *Collector) SW(stream, class int, g keyspace.GroupID) float64 {
-	ss := c.streams[stream]
-	cv := ss.card[class]
+	ss := &c.streams[stream]
+	cv := ss.cardOf(class)
 	if cv == nil || cv[g] == 0 {
 		return 0
 	}
 	var best float64
-	for other := range ss.card {
-		if other == class {
-			continue
-		}
-		if av := ss.aligned[pairKey(class, other)]; av != nil && av[g] > best {
-			best = av[g]
+	if row := ss.aligned[class]; row != nil {
+		for m := ss.present &^ (1 << uint(class)); m != 0; m &= m - 1 {
+			if av := row[bits.TrailingZeros64(m)]; av != nil && av[g] > best {
+				best = av[g]
+			}
 		}
 	}
-	sw := best / cv[g]
-	if sw > 1 {
-		sw = 1
-	}
-	return sw
+	return min(best/cv[g], 1)
 }
 
 // SWVector returns the per-group SharedWith coefficients of a class.
@@ -186,10 +192,11 @@ func (c *Collector) SWVector(stream, class int) []float64 {
 }
 
 // Overlap reports the fraction of (class1, g1)'s tuples that fall into
-// (class2, g2) — the full triangle statistic of Fig. 2a.
+// (class2, g2) — the full triangle statistic of Fig. 2a. The collector
+// must be armed.
 func (c *Collector) Overlap(stream, class1 int, g1 keyspace.GroupID, class2 int, g2 keyspace.GroupID) float64 {
-	ss := c.streams[stream]
-	cv := ss.card[class1]
+	ss := c.crossOf(stream)
+	cv := ss.cardOf(class1)
 	if cv == nil || cv[g1] == 0 {
 		return 0
 	}
@@ -200,10 +207,9 @@ func (c *Collector) Overlap(stream, class1 int, g1 keyspace.GroupID, class2 int,
 // ascending order so downstream consumers stay deterministic.
 func (c *Collector) Classes(stream int) []int {
 	var out []int
-	for ci := range c.streams[stream].card {
-		out = append(out, ci)
+	for m := c.streams[stream].present; m != 0; m &= m - 1 {
+		out = append(out, bits.TrailingZeros64(m))
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -213,9 +219,9 @@ func (c *Collector) Classes(stream int) []int {
 // class, destination group, timestamp) plus the label (shared-tuple
 // percentage); a derived same-group indicator is appended so trees can
 // express the alignment relation directly even under feature
-// subsampling.
+// subsampling. The collector must be armed.
 func (c *Collector) TrainingData(stream int) *ml.Dataset {
-	ss := c.streams[stream]
+	ss := c.crossOf(stream)
 	d := &ml.Dataset{}
 	ts := c.now.Seconds()
 	// Row order must be deterministic: forest training bootstraps by row
@@ -225,42 +231,33 @@ func (c *Collector) TrainingData(stream int) *ml.Dataset {
 	for key := range ss.cross {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, key := range keys {
-		cnt := ss.cross[key]
-		c1 := int(key >> 48)
-		g1 := keyspace.GroupID(key >> 32 & 0xFFFF)
-		c2 := int(key >> 16 & 0xFFFF)
-		g2 := keyspace.GroupID(key & 0xFFFF)
-		cv := ss.card[c1]
+		c1, g1 := int(key>>48), keyspace.GroupID(key>>32&0xFFFF)
+		c2, g2 := int(key>>16&0xFFFF), keyspace.GroupID(key&0xFFFF)
+		cv := ss.cardOf(c1)
 		if cv == nil || cv[g1] == 0 {
 			continue
 		}
 		d.X = append(d.X, featureRow(c1, g1, c2, g2, ts))
-		d.Y = append(d.Y, cnt/cv[g1])
+		d.Y = append(d.Y, ss.cross[key]/cv[g1])
 	}
 	// Explicit zero rows for same-group pairs that never co-occurred:
 	// without them the forest would extrapolate sharing into group
 	// alignments that do not exist.
-	classes := make([]int, 0, len(ss.card))
-	for c1 := range ss.card {
-		classes = append(classes, c1)
-	}
-	sort.Ints(classes)
+	classes := c.Classes(stream)
 	for _, c1 := range classes {
 		cv := ss.card[c1]
 		for _, c2 := range classes {
 			if c1 == c2 {
 				continue
 			}
-			for g := 0; g < c.numGroups; g++ {
-				if cv[g] == 0 {
+			for g, n := range cv {
+				gid := keyspace.GroupID(g)
+				if _, seen := ss.cross[crossKey(c1, gid, c2, gid)]; n == 0 || seen {
 					continue
 				}
-				if _, seen := ss.cross[crossKey(c1, keyspace.GroupID(g), c2, keyspace.GroupID(g))]; seen {
-					continue
-				}
-				d.X = append(d.X, featureRow(c1, keyspace.GroupID(g), c2, keyspace.GroupID(g), ts))
+				d.X = append(d.X, featureRow(c1, gid, c2, gid, ts))
 				d.Y = append(d.Y, 0)
 			}
 		}
@@ -285,13 +282,7 @@ func (c *Collector) PredictedSW(f *ml.Forest, stream, class int, otherClasses []
 				best = p
 			}
 		}
-		if best > 1 {
-			best = 1
-		}
-		if best < 0 {
-			best = 0
-		}
-		out[g] = best
+		out[g] = max(min(best, 1), 0)
 	}
 	return out
 }
@@ -301,21 +292,13 @@ func (c *Collector) PredictedSW(f *ml.Forest, stream, class int, otherClasses []
 // distribution (0 = stationary, 2 = disjoint). The trigger policy uses
 // it to decide whether re-optimization is worthwhile.
 func (c *Collector) Drift(stream int) float64 {
-	ss := c.streams[stream]
 	var worst float64
-	for ci, cv := range ss.card {
-		prev := c.prev[stream][ci]
-		if prev == nil {
-			continue
-		}
-		cur := normalize(cv)
+	for _, d := range c.classDrift(stream) {
 		var l1 float64
-		for g := range cur {
-			l1 += math.Abs(cur[g] - prev[g])
+		for _, x := range d {
+			l1 += x
 		}
-		if l1 > worst {
-			worst = l1
-		}
+		worst = max(worst, l1)
 	}
 	return worst
 }
@@ -329,35 +312,51 @@ func (c *Collector) Drift(stream int) float64 {
 // no previous-epoch archive contribute nothing, mirroring Drift.
 func (c *Collector) GroupDrift(stream int) []float64 {
 	out := make([]float64, c.numGroups)
-	ss := c.streams[stream]
-	for ci, cv := range ss.card {
-		prev := c.prev[stream][ci]
-		if prev == nil {
-			continue
-		}
-		cur := normalize(cv)
-		for g := range cur {
-			if d := math.Abs(cur[g] - prev[g]); d > out[g] {
-				out[g] = d
-			}
+	for _, d := range c.classDrift(stream) {
+		for g, x := range d {
+			out[g] = max(out[g], x)
 		}
 	}
 	return out
 }
 
-// Reset closes the current statistics epoch: distributions are archived
-// for drift detection and counters cleared.
-func (c *Collector) Reset(now vtime.Time) {
-	for si, ss := range c.streams {
-		archived := map[int][]float64{}
-		for ci, cv := range ss.card {
-			archived[ci] = normalize(cv)
+// classDrift returns, per class sampled in this epoch and the previous
+// one, the absolute change of each group's normalized share.
+func (c *Collector) classDrift(stream int) [][]float64 {
+	ss := &c.streams[stream]
+	var out [][]float64
+	for m := ss.present & ss.prevPresent; m != 0; m &= m - 1 {
+		ci := bits.TrailingZeros64(m)
+		d := normalize(make([]float64, c.numGroups), ss.card[ci])
+		for g, prev := range ss.prev[ci] {
+			d[g] = math.Abs(d[g] - prev)
 		}
-		c.prev[si] = archived
-		c.streams[si] = newStreamStats()
+		out = append(out, d)
+	}
+	return out
+}
+
+// Reset closes the current statistics epoch: distributions are archived
+// for drift detection and counters cleared in place.
+func (c *Collector) Reset(now vtime.Time) {
+	for si := range c.streams {
+		ss := &c.streams[si]
+		for m := ss.present; m != 0; m &= m - 1 {
+			ci := bits.TrailingZeros64(m)
+			normalize(c.lane(&ss.prev[ci]), ss.card[ci])
+			clear(ss.card[ci])
+		}
+		ss.prevPresent, ss.present = ss.present, 0
+		for _, row := range ss.aligned {
+			if row != nil {
+				for i := range row {
+					clear(row[i])
+				}
+			}
+		}
+		clear(ss.cross)
 	}
 	c.samples = 0
-	c.from = now
 	c.now = now
 }
 
@@ -371,17 +370,18 @@ func featureRow(c1 int, g1 keyspace.GroupID, c2 int, g2 keyspace.GroupID, ts flo
 	return []float64{float64(c1), float64(g1), float64(c2), float64(g2), ts, same}
 }
 
-func normalize(v []float64) []float64 {
+// normalize writes v scaled to unit sum into dst (zeros when v sums to
+// zero) and returns dst.
+func normalize(dst, v []float64) []float64 {
 	var sum float64
 	for _, x := range v {
 		sum += x
 	}
-	out := make([]float64, len(v))
-	if sum == 0 {
-		return out
-	}
+	clear(dst)
 	for i, x := range v {
-		out[i] = x / sum
+		if sum != 0 {
+			dst[i] = x / sum
+		}
 	}
-	return out
+	return dst
 }

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"saspar/internal/engine"
@@ -71,6 +73,7 @@ func TestSWTakesMaxOverPartners(t *testing.T) {
 
 func TestOverlapMatrix(t *testing.T) {
 	c := NewCollector(1, 8, 1)
+	c.ArmOverlap()
 	c.Sample(vec(0, 0, 0, 1, 1, 1))
 	c.Sample(vec(0, 0, 0, 1, 1, 2))
 	if got := c.Overlap(0, 0, 1, 1, 1); got != 0.5 {
@@ -106,6 +109,7 @@ func TestTrainingDataAndPrediction(t *testing.T) {
 	// Build a stable overlap pattern, train the forest, and check the
 	// predicted SW tracks the exact SW.
 	c := NewCollector(1, 8, 1)
+	c.ArmOverlap()
 	for i := 0; i < 400; i++ {
 		g := i % 8
 		// Low groups fully align between the classes, high groups never
@@ -278,5 +282,156 @@ func TestNewCollectorValidation(t *testing.T) {
 			}()
 			NewCollector(b.s, b.g, b.scale)
 		}()
+	}
+}
+
+// FuzzCollector drives Collector and the map-based refCollector with
+// the same seeded sample stream over several Reset epochs — classes
+// appearing and vanishing between epochs, repeated groups within a
+// sample, the overlap matrix armed at some epoch boundary or never —
+// and requires every statistic to agree bit for bit.
+func FuzzCollector(f *testing.F) {
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkCollector(t, rand.New(rand.NewSource(seed)))
+	})
+}
+
+func checkCollector(t *testing.T, rng *rand.Rand) {
+	palette := []int{0, 1, 2, 3, 5, 17, 40, 63} // route-class ids in [0, MaxClasses)
+	probe := append([]int{-1, 4, MaxClasses, 100}, palette...)
+	numStreams, numGroups := 1+rng.Intn(3), 1+rng.Intn(12)
+	scale := []float64{1, 0.1, 7.25, 500}[rng.Intn(4)]
+	c, ref := NewCollector(numStreams, numGroups, scale), newRefCollector(numStreams, numGroups, scale)
+	epochs := 1 + rng.Intn(5)
+	armAt := rng.Intn(epochs + 1) // epochs: never armed
+	now := vtime.Time(0)
+	for ep := 0; ep < epochs; ep++ {
+		if ep == armAt {
+			c.ArmOverlap()
+		}
+		// Each epoch samples its own subset of the palette per stream.
+		active := make([][]int, numStreams)
+		for s := range active {
+			for _, ci := range palette {
+				if rng.Intn(3) > 0 {
+					active[s] = append(active[s], ci)
+				}
+			}
+		}
+		for n := rng.Intn(200); n > 0; n-- {
+			s := rng.Intn(numStreams)
+			v := engine.SampleVec{Stream: engine.StreamID(s), Time: now}
+			hot := keyspace.GroupID(rng.Intn(numGroups))
+			for _, ci := range active[s] {
+				if rng.Intn(4) == 0 {
+					continue
+				}
+				g := hot // repeated groups make aligned counts
+				if rng.Intn(3) == 0 {
+					g = keyspace.GroupID(rng.Intn(numGroups))
+				}
+				v.Classes = append(v.Classes, ci)
+				v.Groups = append(v.Groups, g)
+			}
+			rng.Shuffle(len(v.Classes), func(i, j int) {
+				v.Classes[i], v.Classes[j] = v.Classes[j], v.Classes[i]
+				v.Groups[i], v.Groups[j] = v.Groups[j], v.Groups[i]
+			})
+			c.Sample(v)
+			ref.Sample(v)
+			now = now.Add(vtime.Millisecond)
+			if rng.Intn(50) == 0 {
+				compareCollectors(t, c, ref, probe, ep >= armAt)
+			}
+		}
+		compareCollectors(t, c, ref, probe, ep >= armAt)
+		now = now.Add(vtime.Second)
+		c.Reset(now)
+		ref.Reset(now)
+		compareCollectors(t, c, ref, probe, ep >= armAt)
+	}
+}
+
+func compareCollectors(t *testing.T, c *Collector, ref *refCollector, probe []int, armed bool) {
+	t.Helper()
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d entries, reference %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d] = %v, reference %v", what, i, a[i], b[i])
+			}
+		}
+	}
+	if c.Samples() != ref.Samples() {
+		t.Fatalf("Samples = %d, reference %d", c.Samples(), ref.Samples())
+	}
+	for s := range c.streams {
+		if got, want := c.Classes(s), ref.Classes(s); !slices.Equal(got, want) {
+			t.Fatalf("stream %d: Classes = %v, reference %v", s, got, want)
+		}
+		same("Drift", []float64{c.Drift(s)}, []float64{ref.Drift(s)})
+		same("GroupDrift", c.GroupDrift(s), ref.GroupDrift(s))
+		for _, ci := range probe {
+			same("CardVector", c.CardVector(s, ci), ref.CardVector(s, ci))
+			same("SWVector", c.SWVector(s, ci), ref.SWVector(s, ci))
+			for g := 0; g < c.numGroups; g++ {
+				same("Card", []float64{c.Card(s, ci, keyspace.GroupID(g))}, []float64{ref.Card(s, ci, keyspace.GroupID(g))})
+				if !armed {
+					continue
+				}
+				for _, cj := range probe {
+					for g2 := 0; g2 < c.numGroups; g2++ {
+						g1, g2 := keyspace.GroupID(g), keyspace.GroupID(g2)
+						same("Overlap", []float64{c.Overlap(s, ci, g1, cj, g2)}, []float64{ref.Overlap(s, ci, g1, cj, g2)})
+					}
+				}
+			}
+		}
+		if !armed {
+			if c.streams[s].cross == nil && !panics(func() { c.TrainingData(s) }) {
+				t.Fatal("TrainingData on an unarmed collector did not panic")
+			}
+			continue
+		}
+		got, want := c.TrainingData(s), ref.TrainingData(s)
+		same("TrainingData.Y", got.Y, want.Y)
+		if len(got.X) != len(want.X) {
+			t.Fatalf("TrainingData: %d rows, reference %d", len(got.X), len(want.X))
+		}
+		for i := range got.X {
+			same("TrainingData.X", got.X[i], want.X[i])
+		}
+	}
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+func TestOverlapUnarmedPanics(t *testing.T) {
+	c := NewCollector(1, 4, 1)
+	c.Sample(vec(0, 0, 0, 1, 1, 1))
+	if !panics(func() { c.Overlap(0, 0, 1, 1, 1) }) || !panics(func() { c.TrainingData(0) }) {
+		t.Fatal("reading the overlap matrix of an unarmed collector did not panic")
+	}
+	if !panics(c.ArmOverlap) {
+		t.Fatal("arming mid-epoch did not panic")
+	}
+}
+
+func TestSampleRejectsClassOutOfRange(t *testing.T) {
+	for _, ci := range []int{-1, MaxClasses} {
+		c := NewCollector(1, 4, 1)
+		if !panics(func() { c.Sample(vec(0, 0, 0, 1, ci, 1)) }) {
+			t.Errorf("class %d outside [0, %d) accepted", ci, MaxClasses)
+		}
 	}
 }

@@ -62,9 +62,11 @@
 #                      round-trips exactly), and the flat exact-window
 #                      state against its map-based reference over random
 #                      insert / close / extract / merge / capture /
-#                      restore / destroy sequences — seeded from
-#                      testdata/fuzz corpora and the committed *.script
-#                      files
+#                      restore / destroy sequences, and the statistics
+#                      collector's dense lanes against its map-based
+#                      reference over seeded sample streams across
+#                      epochs — seeded from testdata/fuzz corpora and
+#                      the committed *.script files
 #   benchmark module   benchmark/ is its own module that compiles against
 #                      internal/ APIs (Engine.Results, core.ExportRequest,
 #                      runtime.Server): vet it and run its short tests, so
@@ -112,6 +114,7 @@ go test -run '^$' -fuzz FuzzPolicyStep -fuzztime 10s ./internal/elastic/
 go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScript -fuzztime 10s ./internal/scenario/
 go test -run '^$' -fuzz FuzzExactState -fuzztime 10s ./internal/engine/
+go test -run '^$' -fuzz FuzzCollector -fuzztime 10s ./internal/stats/
 
 echo "== benchmark module (vet + short tests)"
 (cd benchmark && go vet ./... && go test -short ./...)
