@@ -83,3 +83,20 @@ func BenchmarkSolve(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 }
+
+// BenchmarkSolveClasses is the many-class shape (14 classes, like the
+// 14 tpch queries of the virt-tpch benchmark), where the remainder
+// bound has the most undecided classes to sum.
+func BenchmarkSolveClasses(b *testing.B) {
+	in := randInstance(21, 14, 32, 8)
+	opt := Options{MaxNodes: 50000}
+	var nodes int64
+	for i := 0; i < b.N; i++ {
+		res, err := Solve(in, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += res.Nodes
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+}
