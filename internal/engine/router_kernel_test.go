@@ -24,8 +24,9 @@ import (
 type kernelShape struct {
 	name     string
 	groups   int
+	slots    int // partitions; above 64 a row's slot mask takes two words
 	classes  int
-	reject   bool // one class filters, one draws sel < 1
+	reject   rejectMode
 	shared   bool
 	exact    bool
 	micro    bool
@@ -35,23 +36,38 @@ type kernelShape struct {
 	merge    mergeKernel
 }
 
+// rejectMode picks which classes reject rows: none, one filtering and
+// one drawing sel < 1, or every class (filters and draws alternating).
+type rejectMode uint8
+
+const (
+	rejectNone rejectMode = iota
+	rejectSome
+	rejectAll
+)
+
 var kernelShapes = []kernelShape{
-	{"nonshared/pow2/2", 32, 2, false, false, false, false, false, true, classifyFused, mergeNone},
-	{"nonshared/pow2/5/reject", 32, 5, true, false, false, false, false, true, classifyFused, mergeNone},
-	{"nonshared/24/5/reject", 24, 5, true, false, false, false, false, true, classifyGeneric, mergeNone},
-	{"shared/pow2/1/bare", 32, 1, false, true, false, false, false, false, classifyFused, mergeNone},
-	{"shared/pow2/2/bare", 32, 2, false, true, false, false, false, false, classifyFused, mergePair},
-	{"shared/pow2/5/reject/bare", 32, 5, true, true, false, false, false, false, classifyFused, mergeFolded},
-	{"shared/pow2/1", 32, 1, false, true, false, false, true, true, classifyGeneric, mergeNone},
-	{"shared/pow2/2", 32, 2, false, true, false, false, true, true, classifyGeneric, mergePair},
-	{"shared/24/2/reject", 24, 2, true, true, false, false, true, true, classifyGeneric, mergeFolded},
-	{"shared/24/5/reject", 24, 5, true, true, false, false, true, true, classifyGeneric, mergeFolded},
-	{"shared/exact/pow2/2", 32, 2, false, true, true, false, true, true, classifyRowShared, mergeRowLanes},
-	{"shared/exact/24/5/reject", 24, 5, true, true, true, false, true, true, classifyRowShared, mergeRowLanes},
-	{"shared/micro/pow2/2", 32, 2, false, true, false, true, true, true, classifyRowShared, mergeRowLanes},
-	{"nonshared/exact/pow2/2", 32, 2, false, false, true, false, false, true, classifyRowScatter, mergeNone},
-	{"nonshared/exact/24/5/reject", 24, 5, true, false, true, false, false, true, classifyRowScatter, mergeNone},
-	{"nonshared/micro/pow2/5/reject", 32, 5, true, false, false, true, false, true, classifyRowScatter, mergeNone},
+	{"nonshared/pow2/2", 32, 6, 2, rejectNone, false, false, false, false, true, classifyFused, mergeNone},
+	{"nonshared/pow2/5/reject", 32, 6, 5, rejectSome, false, false, false, false, true, classifyFused, mergeNone},
+	{"nonshared/24/5/reject", 24, 6, 5, rejectSome, false, false, false, false, true, classifyGeneric, mergeNone},
+	{"shared/pow2/1/bare", 32, 6, 1, rejectNone, true, false, false, false, false, classifyFused, mergeNone},
+	{"shared/pow2/2/bare", 32, 6, 2, rejectNone, true, false, false, false, false, classifyFused, mergePair},
+	{"shared/pow2/5/reject/bare", 32, 6, 5, rejectSome, true, false, false, false, false, classifyFused, mergeFolded},
+	{"shared/pow2/1", 32, 6, 1, rejectNone, true, false, false, true, true, classifyGeneric, mergeNone},
+	{"shared/pow2/2", 32, 6, 2, rejectNone, true, false, false, true, true, classifyGeneric, mergePair},
+	{"shared/24/2/reject", 24, 6, 2, rejectSome, true, false, false, true, true, classifyGeneric, mergeFolded},
+	{"shared/24/5/reject", 24, 6, 5, rejectSome, true, false, false, true, true, classifyGeneric, mergeFolded},
+	{"shared/24/5/rejectall", 24, 6, 5, rejectAll, true, false, false, true, true, classifyGeneric, mergeFolded},
+	{"shared/pow2/2/rejectall/bare", 32, 6, 2, rejectAll, true, false, false, false, false, classifyFused, mergeFolded},
+	{"shared/pow2/5/wide/bare", 128, 70, 5, rejectNone, true, false, false, false, false, classifyFused, mergeFolded},
+	{"shared/130/5/wide", 130, 70, 5, rejectNone, true, false, false, true, true, classifyGeneric, mergeFolded},
+	{"shared/130/5/rejectall/wide", 130, 70, 5, rejectAll, true, false, false, true, true, classifyGeneric, mergeFolded},
+	{"shared/exact/pow2/2", 32, 6, 2, rejectNone, true, true, false, true, true, classifyRowShared, mergeRowLanes},
+	{"shared/exact/24/5/reject", 24, 6, 5, rejectSome, true, true, false, true, true, classifyRowShared, mergeRowLanes},
+	{"shared/micro/pow2/2", 32, 6, 2, rejectNone, true, false, true, true, true, classifyRowShared, mergeRowLanes},
+	{"nonshared/exact/pow2/2", 32, 6, 2, rejectNone, false, true, false, false, true, classifyRowScatter, mergeNone},
+	{"nonshared/exact/24/5/reject", 24, 6, 5, rejectSome, false, true, false, false, true, classifyRowScatter, mergeNone},
+	{"nonshared/micro/pow2/5/reject", 32, 6, 5, rejectSome, false, false, true, false, true, classifyRowScatter, mergeNone},
 }
 
 // kernelKeys are the route classes of the test stream, in class order;
@@ -81,7 +97,7 @@ func (s *recSource) NextBlock(b *TupleBlock, from, to int) {
 func kernelEngine(t *testing.T, sh kernelShape, batch int) (*Engine, *recSource) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Nodes, cfg.NumPartitions, cfg.NumGroups, cfg.SourceTasks = 2, 6, sh.groups, 1
+	cfg.Nodes, cfg.NumPartitions, cfg.NumGroups, cfg.SourceTasks = 2, sh.slots, sh.groups, 1
 	cfg.Shared, cfg.ExactWindows, cfg.BatchSize = sh.shared, sh.exact, batch
 	if sh.micro {
 		cfg.Profile = Profile{Name: "micro", MicroBatch: true, BatchInterval: vtime.Second}
@@ -92,11 +108,17 @@ func kernelEngine(t *testing.T, sh kernelShape, batch int) (*Engine, *recSource)
 	var qs []QuerySpec
 	for ci, key := range kernelKeys[:sh.classes] {
 		in := Input{Stream: 0, Key: key}
-		if sh.reject && ci == 1 {
+		switch {
+		case sh.reject == rejectNone:
+		case ci == 1:
 			in.Filter, in.FilterID = func(t *Tuple) bool { return t.Cols[2]%3 != 0 }, 1
-		}
-		if sh.reject && ci == 2 {
+		case ci == 2:
 			in.Selectivity = 0.6
+		case sh.reject != rejectAll:
+		case ci%2 == 1:
+			in.Filter, in.FilterID = func(t *Tuple) bool { return t.Cols[0]%4 != 1 }, 2
+		default:
+			in.Selectivity = 0.5 + 0.1*float64(ci)
 		}
 		members := 1
 		if ci == 0 {
@@ -315,7 +337,7 @@ func checkTick(t *testing.T, e *Engine, rt *routerTask, sends []pendingSend, row
 			t.Fatal("bucket left open after the tick")
 		}
 	}
-	if !allZero(rt.runAcc) || !allZero(rt.slotN) || !allZero(rt.slotXQ) || !allZero(rt.accCnt) {
+	if !allZero(rt.runAcc) || !allZero(rt.slotN) || !allZero(rt.slotXQ) || !allZero(rt.maskScr) || !allZero(rt.accCnt) {
 		t.Fatal("tick left dirty scratch behind")
 	}
 }
@@ -341,8 +363,9 @@ func shapeNamed(t *testing.T, name string) kernelShape {
 	return kernelShape{}
 }
 
-// tickAndCheck runs one tick of task 0 against the reference.
-func tickAndCheck(t *testing.T, e *Engine, src *recSource, seed int64) {
+// tickAndCheck runs one tick of task 0 against the reference and
+// returns the highest slot it staged an entry for.
+func tickAndCheck(t *testing.T, e *Engine, src *recSource, seed int64) (top int) {
 	t.Helper()
 	rt := e.tasks[0]
 	src.rows = src.rows[:0]
@@ -353,7 +376,11 @@ func tickAndCheck(t *testing.T, e *Engine, src *recSource, seed int64) {
 		t.Fatal("tick routed no rows")
 	}
 	checkTick(t, e, rt, sends, src.rows, rand.New(rand.NewSource(seed)), gate)
+	for _, ps := range sends {
+		top = max(top, ps.en.slot)
+	}
 	settleTick(e, rt)
+	return top
 }
 
 func TestKernelsMatchRowAtATimeReference(t *testing.T) {
@@ -375,8 +402,12 @@ func TestKernelsMatchRowAtATimeReference(t *testing.T) {
 						len(plan.classes), plan.classify, plan.merge, sh.classes, sh.classify, sh.merge)
 				}
 				sawClassify[plan.classify], sawMerge[plan.merge] = true, true
+				top := 0
 				for tick := int64(0); tick < 3; tick++ {
-					tickAndCheck(t, e, src, 100+tick)
+					top = max(top, tickAndCheck(t, e, src, 100+tick))
+				}
+				if plan.maskWords > 1 && top < 64 {
+					t.Fatalf("no row reached the slot mask's second word (top slot %d)", top)
 				}
 			})
 		}

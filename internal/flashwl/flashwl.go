@@ -10,7 +10,6 @@ package flashwl
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"saspar/internal/engine"
@@ -123,16 +122,17 @@ func New(cfg Config) (*workload.Workload, error) {
 // byte-identical.
 type gen struct {
 	cfg Config
+	pow *workload.PowCurve
 	rng *rand.Rand
 }
 
 func newGen(cfg Config, task int) *gen {
-	return &gen{cfg: cfg, rng: rand.New(rand.NewSource(int64(task)*2654435761 + 17))}
+	return &gen{cfg: cfg, pow: workload.PowCurveOf(1 + cfg.Skew), rng: rand.New(rand.NewSource(int64(task)*2654435761 + 17))}
 }
 
 func (g *gen) Next(t *engine.Tuple, ts vtime.Time) {
 	cfg, rng := &g.cfg, g.rng
-	t.Cols[ColKey] = skewPick(rng, cfg.Keys, cfg.Skew)
+	t.Cols[ColKey] = g.pow.Draw(rng, cfg.Keys)
 	t.Cols[ColShard] = rng.Int63n(1024)
 	t.Cols[ColValue] = 1 + rng.Int63n(1000)
 }
@@ -141,17 +141,8 @@ func (g *gen) NextBlock(b *engine.TupleBlock, from, to int) {
 	cfg, rng := &g.cfg, g.rng
 	keys, shards, vals := b.Col[ColKey], b.Col[ColShard], b.Col[ColValue]
 	for r := from; r < to; r++ {
-		keys[r] = skewPick(rng, cfg.Keys, cfg.Skew)
+		keys[r] = g.pow.Draw(rng, cfg.Keys)
 		shards[r] = rng.Int63n(1024)
 		vals[r] = 1 + rng.Int63n(1000)
 	}
-}
-
-func skewPick(rng *rand.Rand, n int64, skew float64) int64 {
-	u := rng.Float64()
-	k := int64(math.Pow(u, 1+skew) * float64(n))
-	if k >= n {
-		k = n - 1
-	}
-	return k
 }

@@ -12,7 +12,6 @@ package gcm
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"saspar/internal/engine"
@@ -101,17 +100,18 @@ func New(cfg Config) (*workload.Workload, error) {
 // so batched and tuple-at-a-time execution stay byte-identical.
 type gen struct {
 	cfg Config
+	pow *workload.PowCurve
 	rng *rand.Rand
 }
 
 func newGen(cfg Config, task int) *gen {
-	return &gen{cfg: cfg, rng: rand.New(rand.NewSource(int64(task)*2654435761 + 3))}
+	return &gen{cfg: cfg, pow: workload.PowCurveOf(1 + cfg.Skew), rng: rand.New(rand.NewSource(int64(task)*2654435761 + 3))}
 }
 
 func (g *gen) Next(t *engine.Tuple, ts vtime.Time) {
 	cfg, rng := &g.cfg, g.rng
-	t.Cols[ColJobID] = skewPick(rng, cfg.Jobs, cfg.Skew)
-	t.Cols[ColMachineID] = skewPick(rng, cfg.Machines, cfg.Skew)
+	t.Cols[ColJobID] = g.pow.Draw(rng, cfg.Jobs)
+	t.Cols[ColMachineID] = g.pow.Draw(rng, cfg.Machines)
 	t.Cols[ColEventType] = rng.Int63n(6)
 	t.Cols[ColPriority] = rng.Int63n(12)
 	t.Cols[ColCPU] = 10 + rng.Int63n(4000)
@@ -123,20 +123,11 @@ func (g *gen) NextBlock(b *engine.TupleBlock, from, to int) {
 	jobs, machines := b.Col[ColJobID], b.Col[ColMachineID]
 	events, prio, cpu, mem := b.Col[ColEventType], b.Col[ColPriority], b.Col[ColCPU], b.Col[ColMem]
 	for r := from; r < to; r++ {
-		jobs[r] = skewPick(rng, cfg.Jobs, cfg.Skew)
-		machines[r] = skewPick(rng, cfg.Machines, cfg.Skew)
+		jobs[r] = g.pow.Draw(rng, cfg.Jobs)
+		machines[r] = g.pow.Draw(rng, cfg.Machines)
 		events[r] = rng.Int63n(6)
 		prio[r] = rng.Int63n(12)
 		cpu[r] = 10 + rng.Int63n(4000)
 		mem[r] = 16 + rng.Int63n(16384)
 	}
-}
-
-func skewPick(rng *rand.Rand, n int64, skew float64) int64 {
-	u := rng.Float64()
-	k := int64(math.Pow(u, 1+skew) * float64(n))
-	if k >= n {
-		k = n - 1
-	}
-	return k
 }

@@ -65,7 +65,9 @@
 #                      restore / destroy sequences, and the statistics
 #                      collector's dense lanes against its map-based
 #                      reference over seeded sample streams across
-#                      epochs — seeded from testdata/fuzz corpora and
+#                      epochs, and the generators' power-law draw
+#                      kernel against math.Pow at adversarial draws —
+#                      seeded from testdata/fuzz corpora and
 #                      the committed *.script files
 #   benchmark module   benchmark/ is its own module that compiles against
 #                      internal/ APIs (Engine.Results, core.ExportRequest,
@@ -115,6 +117,7 @@ go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScript -fuzztime 10s ./internal/scenario/
 go test -run '^$' -fuzz FuzzExactState -fuzztime 10s ./internal/engine/
 go test -run '^$' -fuzz FuzzCollector -fuzztime 10s ./internal/stats/
+go test -run '^$' -fuzz FuzzPowCurve -fuzztime 10s ./internal/workload/
 
 echo "== benchmark module (vet + short tests)"
 (cd benchmark && go vet ./... && go test -short ./...)
