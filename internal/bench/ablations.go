@@ -11,7 +11,6 @@ import (
 	"saspar/internal/ml"
 	"saspar/internal/optimizer"
 	"saspar/internal/parallel"
-	"saspar/internal/stats"
 	"saspar/internal/vtime"
 	"saspar/internal/workload"
 )
@@ -191,8 +190,8 @@ type MLStatsResult struct {
 // sources.
 func AblationMLStats(sc Scale) (*MLStatsResult, error) {
 	groups := sc.Groups
-	col := stats.NewCollector(1, groups, 1)
-	col.ArmOverlap()
+	rec := newOverlapRecorder(1, groups, 1)
+	col := rec.col
 	mix := keyspace.Mix64
 	for i := 0; i < 4000; i++ {
 		g0 := int(mix(uint64(i)) % uint64(groups))
@@ -200,14 +199,14 @@ func AblationMLStats(sc Scale) (*MLStatsResult, error) {
 		if g0 >= groups/2 {
 			g1 = (g0 + 1) % groups
 		}
-		col.Sample(engine.SampleVec{
+		rec.Sample(engine.SampleVec{
 			Stream:  0,
 			Time:    vtime.Time(i) * vtime.Time(vtime.Millisecond),
 			Classes: []int{0, 1},
 			Groups:  []keyspace.GroupID{keyspace.GroupID(g0), keyspace.GroupID(g1)},
 		})
 	}
-	forest, err := ml.TrainForest(col.TrainingData(0), ml.ForestConfig{Trees: 30}, 3)
+	forest, err := ml.TrainForest(rec.TrainingData(0), ml.ForestConfig{Trees: 30}, 3)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +220,7 @@ func AblationMLStats(sc Scale) (*MLStatsResult, error) {
 		for class := 0; class < 2; class++ {
 			var sw []float64
 			if useML {
-				sw = col.PredictedSW(forest, 0, class, []int{0, 1})
+				sw = rec.PredictedSW(forest, class, []int{0, 1})
 			} else {
 				sw = col.SWVector(0, class)
 			}

@@ -29,8 +29,7 @@ type MLRow struct {
 // is what the running system needs from the model.
 func MLAccuracy(sc Scale) ([]MLRow, error) {
 	groups := sc.Groups
-	col := stats.NewCollector(1, groups, 1)
-	col.ArmOverlap()
+	rec := newOverlapRecorder(1, groups, 1)
 	hold := stats.NewCollector(1, groups, 1)
 
 	// Graded sharing structure: class 0's group g aligns with class 1's
@@ -39,7 +38,7 @@ func MLAccuracy(sc Scale) ([]MLRow, error) {
 	// small ensemble underfits (few splits cannot represent 32 levels)
 	// and the error falls as splits accumulate — the paper's curve.
 	mix := keyspace.Mix64
-	emit := func(c *stats.Collector, i uint64) {
+	emit := func(c engine.Sampler, i uint64) {
 		h := mix(i)
 		g0 := int(h % uint64(groups))
 		u := float64(mix(h)%1000) / 1000
@@ -61,12 +60,12 @@ func MLAccuracy(sc Scale) ([]MLRow, error) {
 	// Sparse training epoch (sampling noise to overfit) and a large
 	// held-out epoch as ground truth.
 	for i := uint64(0); i < 700; i++ {
-		emit(col, i)
+		emit(rec, i)
 	}
 	for i := uint64(100000); i < 120000; i++ {
 		emit(hold, i)
 	}
-	data := col.TrainingData(0)
+	data := rec.TrainingData(0)
 	exact := hold.SWVector(0, 0)
 
 	// Capacity ladder: shallow single trees first (few splits, heavy
@@ -86,7 +85,7 @@ func MLAccuracy(sc Scale) ([]MLRow, error) {
 		if err != nil {
 			return MLRow{}, err
 		}
-		pred := col.PredictedSW(f, 0, 0, []int{1, 2})
+		pred := rec.PredictedSW(f, 0, []int{1, 2})
 		var errSum float64
 		for g := range exact {
 			errSum += math.Abs(pred[g] - exact[g])

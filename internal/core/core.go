@@ -1,12 +1,13 @@
 // Package core is SASPAR itself: the versatile layer that sits on top
 // of a stream processing engine (Section I-C). It wires together the
-// statistics collector, the ML-backed SharedWith estimator, the
-// MIP+heuristics optimizer, and the adaptive-query-execution controller
-// into one periodic control loop over a running engine:
+// statistics collector (exact SharedWith; the paper's random-forest
+// estimator is measured by internal/bench only), the MIP+heuristics
+// optimizer, and the adaptive-query-execution controller into one
+// periodic control loop over a running engine:
 //
-//	collect stats → (optionally) train random forest → build the
-//	optimization request → solve (Algorithm 1) → if the new plan beats
-//	the current one, swap it in live via the AQE protocol.
+//	collect stats → build the optimization request → solve
+//	(Algorithm 1) → if the new plan beats the current one, swap it in
+//	live via the AQE protocol.
 //
 // A System with Enabled=false is the vanilla SUT: same engine, same
 // queries, per-query partitioning, no optimizer — the paper's baseline
@@ -20,7 +21,6 @@ import (
 	"saspar/internal/checkpoint"
 	"saspar/internal/elastic"
 	"saspar/internal/engine"
-	"saspar/internal/ml"
 	"saspar/internal/netsim"
 	"saspar/internal/obs"
 	"saspar/internal/optimizer"
@@ -75,12 +75,6 @@ type Config struct {
 	// state of every re-assigned key group (the reshuffle of Fig. 9) —
 	// this keeps reconfigurations incremental instead of wholesale.
 	PlanHorizon float64
-
-	// UseML replaces exact SharedWith statistics with random-forest
-	// predictions once MLMinSamples tuples have been seen (Section IV).
-	UseML        bool
-	MLMinSamples int
-	MLForestSize int
 
 	// Opt are the Algorithm 1 solver controls.
 	Opt optimizer.Options
@@ -211,8 +205,6 @@ func DefaultConfig() Config {
 		MinSamples:      64,
 		MinImprovement:  0.01,
 		PlanHorizon:     4,
-		MLMinSamples:    4096,
-		MLForestSize:    30,
 	}
 }
 
@@ -439,9 +431,6 @@ func New(engCfg engine.Config, streams []engine.StreamDef, queries []engine.Quer
 	if cfg.Enabled {
 		scale := float64(cfg.SampleEvery) * engCfg.TupleWeight
 		s.col = stats.NewCollector(len(streams), engCfg.NumGroups, scale)
-		if cfg.UseML {
-			s.col.ArmOverlap()
-		}
 		eng.SetSampler(s.col, cfg.SampleEvery)
 	}
 	return s, nil
@@ -1002,37 +991,17 @@ func (s *System) buildRequest() (*optimizer.Request, []canonicalClass) {
 		LatProc:       latProc,
 	}
 
-	// Train per-stream forests when the ML path is active.
-	var forests []*ml.Forest
-	useML := s.cfg.UseML && s.col.Samples() >= s.cfg.MLMinSamples
-	if useML {
-		forests = make([]*ml.Forest, eng.NumStreams())
-		for st := 0; st < eng.NumStreams(); st++ {
-			d := s.col.TrainingData(st)
-			if len(d.X) < 8 {
-				continue
-			}
-			f, err := ml.TrainForest(d, ml.ForestConfig{Trees: s.cfg.MLForestSize}, ecfg.Seed+int64(st))
-			if err == nil {
-				forests[st] = f
-			}
-		}
-	}
-
 	for _, cc := range classes {
 		rep := cc.members[0]
 		spec := eng.QuerySpecOf(rep)
 		q := optimizer.QueryStats{ID: spec.ID, Weight: float64(len(cc.members))}
 		for side := range spec.Inputs {
 			stream, classID := eng.ClassOf(rep, side)
-			card := s.col.CardVector(int(stream), classID)
-			var sw []float64
-			if useML && forests[int(stream)] != nil {
-				sw = s.col.PredictedSW(forests[int(stream)], int(stream), classID, s.col.Classes(int(stream)))
-			} else {
-				sw = s.col.SWVector(int(stream), classID)
-			}
-			q.Inputs = append(q.Inputs, optimizer.InputStats{Stream: int(stream), Card: card, SW: sw})
+			q.Inputs = append(q.Inputs, optimizer.InputStats{
+				Stream: int(stream),
+				Card:   s.col.CardVector(int(stream), classID),
+				SW:     s.col.SWVector(int(stream), classID),
+			})
 		}
 		req.Queries = append(req.Queries, q)
 	}

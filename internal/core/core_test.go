@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"saspar/internal/engine"
-	"saspar/internal/ml"
 	"saspar/internal/optimizer"
 	"saspar/internal/vtime"
 	"saspar/internal/workload"
@@ -210,68 +209,6 @@ func TestSkewTriggersLiveReconfiguration(t *testing.T) {
 	if s.Controller().Applied() > 0 && s.Engine().Metrics().Reshuffled() == 0 {
 		t.Fatal("reconfiguration applied but no tuples reshuffled")
 	}
-}
-
-func TestMLPathProducesPlans(t *testing.T) {
-	cfg := fastCfg()
-	cfg.UseML = true
-	cfg.MLMinSamples = 100
-	cfg.MLForestSize = 10
-	// Three route classes on one stream, keyed on column 0, column 1
-	// (equal to column 0, so fully aligned) and both: every sample
-	// carries three (class, group) pairs, so the overlap matrix has
-	// training rows and the forest, not exact SharedWith, prices sharing.
-	qs := sameKeyQueries(3)
-	qs[1].Inputs[0].Key = engine.KeySpec{1}
-	qs[2].Inputs[0].Key = engine.KeySpec{0, 1}
-	s, err := New(testEngineConfig(), []engine.StreamDef{skewedStream()}, qs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Engine().SetStreamRate(0, 20000)
-	// Up to just before the first trigger, which resets the collector:
-	// buildRequest trains its forest from exactly this data, and with
-	// fewer than 8 rows it falls back to exact SharedWith.
-	s.Run(cfg.TriggerInterval - 100*vtime.Millisecond)
-	if n := s.col.Samples(); n < cfg.MLMinSamples {
-		t.Fatalf("collector holds %d samples before the first trigger, want at least %d", n, cfg.MLMinSamples)
-	}
-	d := s.col.TrainingData(0)
-	if len(d.X) < 8 {
-		t.Fatalf("overlap matrix yields %d training rows, want at least 8", len(d.X))
-	}
-	if _, err := ml.TrainForest(d, ml.ForestConfig{Trees: cfg.MLForestSize}, 1); err != nil {
-		t.Fatalf("no forest trains on the collected overlap: %v", err)
-	}
-	s.Run(8 * vtime.Second)
-	if s.Snapshot().Triggers == 0 {
-		t.Fatal("ML-path system never triggered")
-	}
-	if s.LastOptimization() == nil {
-		t.Fatal("ML path produced no optimizer results")
-	}
-	classes := map[int]bool{}
-	for qi := range qs {
-		_, ci := s.Engine().ClassOf(qi, 0)
-		classes[ci] = true
-	}
-	if len(classes) != 3 {
-		t.Fatalf("queries share %d route classes, want 3 distinct-key classes", len(classes))
-	}
-}
-
-func TestOverlapUnarmedWithoutML(t *testing.T) {
-	s, err := New(testEngineConfig(), []engine.StreamDef{skewedStream()}, sameKeyQueries(2), fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(vtime.Second)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TrainingData on a collector UseML never armed returned instead of panicking")
-		}
-	}()
-	s.col.TrainingData(0)
 }
 
 func TestConfigValidation(t *testing.T) {

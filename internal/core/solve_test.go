@@ -133,16 +133,23 @@ func solveInFlight(s *System) bool {
 }
 
 // landSolve releases the parked solver and ticks until the loop has
-// taken its result. The solver delivers on its own goroutine, so the
-// number of ticks that takes is not fixed; the wall clock bounds it.
+// taken its result. The solver delivers on its own goroutine, so it
+// first waits, without ticking, for the result to reach the job's
+// one-slot channel and puts it back: ticking meanwhile would let a slow
+// solve span enough virtual time for the loop to drop it and then start
+// and install a fresh plan.
 func landSolve(t *testing.T, s *System, p *parkedSolver) {
 	t.Helper()
 	close(p.release)
-	for deadline := time.Now().Add(10 * time.Second); solveInFlight(s); {
-		if time.Now().After(deadline) {
-			t.Fatal("released solve never came back to the loop")
-		}
-		tick(t, s)
+	select {
+	case out := <-s.inFlight.done:
+		s.inFlight.done <- out
+	case <-time.After(10 * time.Second):
+		t.Fatal("released solve never came back to the loop")
+	}
+	tick(t, s)
+	if solveInFlight(s) {
+		t.Fatal("the tick after the solve delivered did not take its result")
 	}
 }
 

@@ -6,15 +6,14 @@ import (
 
 	"saspar/internal/engine"
 	"saspar/internal/keyspace"
-	"saspar/internal/ml"
 	"saspar/internal/vtime"
 )
 
 // refCollector is the statistics collector as it was written before the
 // dense class-indexed lanes of stats.go: Go maps keyed by class id and
-// class pair, a fresh set of maps every epoch, and the cross-group
-// overlap matrix collected on every sample. It is kept only here, as
-// the differential reference FuzzCollector drives beside Collector.
+// class pair, and a fresh set of maps every epoch. It is kept only
+// here, as the differential reference FuzzCollector drives beside
+// Collector.
 type refCollector struct {
 	numStreams int
 	numGroups  int
@@ -35,15 +34,12 @@ type refStreamStats struct {
 	// aligned[pair(c1,c2)][group]: co-occurrence of the SAME group id
 	// under both classes — the statistic Eq. 4's SharedWith needs.
 	aligned map[uint64][]float64
-	// cross[pack(c1,g1,c2,g2)]: full overlap counts for ML training.
-	cross map[uint64]float64
 }
 
 func newRefStreamStats() *refStreamStats {
 	return &refStreamStats{
 		card:    map[int][]float64{},
 		aligned: map[uint64][]float64{},
-		cross:   map[uint64]float64{},
 	}
 }
 
@@ -90,7 +86,6 @@ func (c *refCollector) Sample(v engine.SampleVec) {
 				}
 				av[gi] += c.scale
 			}
-			ss.cross[crossKey(ci, gi, cj, gj)] += c.scale
 		}
 	}
 }
@@ -150,17 +145,6 @@ func (c *refCollector) SWVector(stream, class int) []float64 {
 	return out
 }
 
-// Overlap reports the fraction of (class1, g1)'s tuples that fall into
-// (class2, g2) — the full triangle statistic of Fig. 2a.
-func (c *refCollector) Overlap(stream, class1 int, g1 keyspace.GroupID, class2 int, g2 keyspace.GroupID) float64 {
-	ss := c.streams[stream]
-	cv := ss.card[class1]
-	if cv == nil || cv[g1] == 0 {
-		return 0
-	}
-	return ss.cross[crossKey(class1, g1, class2, g2)] / cv[g1]
-}
-
 // Classes returns the class ids observed on a stream this epoch, in
 // ascending order so downstream consumers stay deterministic.
 func (c *refCollector) Classes(stream int) []int {
@@ -170,67 +154,6 @@ func (c *refCollector) Classes(stream int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// TrainingData converts this epoch's overlap observations into the
-// paper's random-forest dataset. The six model parameters of Section IV
-// map to feature columns (source class, source group, destination
-// class, destination group, timestamp) plus the label (shared-tuple
-// percentage); a derived same-group indicator is appended so trees can
-// express the alignment relation directly even under feature
-// subsampling.
-func (c *refCollector) TrainingData(stream int) *ml.Dataset {
-	ss := c.streams[stream]
-	d := &ml.Dataset{}
-	ts := c.now.Seconds()
-	// Row order must be deterministic: forest training bootstraps by row
-	// index, so map-order rows would make every trained model — and
-	// every figure derived from one — differ run to run.
-	keys := make([]uint64, 0, len(ss.cross))
-	for key := range ss.cross {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		cnt := ss.cross[key]
-		c1 := int(key >> 48)
-		g1 := keyspace.GroupID(key >> 32 & 0xFFFF)
-		c2 := int(key >> 16 & 0xFFFF)
-		g2 := keyspace.GroupID(key & 0xFFFF)
-		cv := ss.card[c1]
-		if cv == nil || cv[g1] == 0 {
-			continue
-		}
-		d.X = append(d.X, featureRow(c1, g1, c2, g2, ts))
-		d.Y = append(d.Y, cnt/cv[g1])
-	}
-	// Explicit zero rows for same-group pairs that never co-occurred:
-	// without them the forest would extrapolate sharing into group
-	// alignments that do not exist.
-	classes := make([]int, 0, len(ss.card))
-	for c1 := range ss.card {
-		classes = append(classes, c1)
-	}
-	sort.Ints(classes)
-	for _, c1 := range classes {
-		cv := ss.card[c1]
-		for _, c2 := range classes {
-			if c1 == c2 {
-				continue
-			}
-			for g := 0; g < c.numGroups; g++ {
-				if cv[g] == 0 {
-					continue
-				}
-				if _, seen := ss.cross[crossKey(c1, keyspace.GroupID(g), c2, keyspace.GroupID(g))]; seen {
-					continue
-				}
-				d.X = append(d.X, featureRow(c1, keyspace.GroupID(g), c2, keyspace.GroupID(g), ts))
-				d.Y = append(d.Y, 0)
-			}
-		}
-	}
-	return d
 }
 
 // Drift reports, per stream, the maximum L1 distance between any

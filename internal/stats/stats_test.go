@@ -8,7 +8,6 @@ import (
 
 	"saspar/internal/engine"
 	"saspar/internal/keyspace"
-	"saspar/internal/ml"
 	"saspar/internal/vtime"
 )
 
@@ -71,22 +70,6 @@ func TestSWTakesMaxOverPartners(t *testing.T) {
 	}
 }
 
-func TestOverlapMatrix(t *testing.T) {
-	c := NewCollector(1, 8, 1)
-	c.ArmOverlap()
-	c.Sample(vec(0, 0, 0, 1, 1, 1))
-	c.Sample(vec(0, 0, 0, 1, 1, 2))
-	if got := c.Overlap(0, 0, 1, 1, 1); got != 0.5 {
-		t.Fatalf("Overlap(c0g1->c1g1) = %v, want 0.5", got)
-	}
-	if got := c.Overlap(0, 0, 1, 1, 2); got != 0.5 {
-		t.Fatalf("Overlap(c0g1->c1g2) = %v, want 0.5", got)
-	}
-	if got := c.Overlap(0, 0, 1, 1, 5); got != 0 {
-		t.Fatalf("Overlap(c0g1->c1g5) = %v, want 0", got)
-	}
-}
-
 func TestSWVectorAndCardVector(t *testing.T) {
 	c := NewCollector(1, 4, 10)
 	c.Sample(vec(0, 0, 0, 2, 1, 2))
@@ -102,41 +85,6 @@ func TestSWVectorAndCardVector(t *testing.T) {
 	cv[2] = -1
 	if c.Card(0, 0, 2) != 10 {
 		t.Fatal("CardVector returned a live view")
-	}
-}
-
-func TestTrainingDataAndPrediction(t *testing.T) {
-	// Build a stable overlap pattern, train the forest, and check the
-	// predicted SW tracks the exact SW.
-	c := NewCollector(1, 8, 1)
-	c.ArmOverlap()
-	for i := 0; i < 400; i++ {
-		g := i % 8
-		// Low groups fully align between the classes, high groups never
-		// do — a threshold-shaped sharing pattern a CART can represent.
-		g2 := g
-		if g >= 4 {
-			g2 = (g + 1) % 8
-		}
-		c.Sample(vec(0, vtime.Time(i)*vtime.Time(vtime.Second), 0, g, 1, g2))
-	}
-	d := c.TrainingData(0)
-	if len(d.X) == 0 {
-		t.Fatal("no training rows")
-	}
-	f, err := ml.TrainForest(d, ml.ForestConfig{
-		Trees: 50,
-		Tree:  ml.TreeConfig{FeatureSubset: 6, MinLeaf: 1},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred := c.PredictedSW(f, 0, 0, []int{1})
-	for g := 0; g < 8; g++ {
-		exact := c.SW(0, 0, keyspace.GroupID(g))
-		if math.Abs(pred[g]-exact) > 0.3 {
-			t.Fatalf("group %d: predicted SW %v far from exact %v", g, pred[g], exact)
-		}
 	}
 }
 
@@ -223,46 +171,6 @@ func TestClassesEnumeration(t *testing.T) {
 	}
 }
 
-func TestCrossKeyLaneIsolation(t *testing.T) {
-	// Regression: crossKey packed ids into 16-bit lanes without masking,
-	// so a group id one past the lane smeared into the neighbouring
-	// class lane and (c1=0, g1=65536) collided with (c1=1, g1=0),
-	// corrupting the ML overlap matrix.
-	overflow := crossKey(0, keyspace.GroupID(MaxGroups), 0, 0)
-	smeared := crossKey(1, 0, 0, 0)
-	if overflow == smeared {
-		t.Fatalf("group id %d smeared into the class lane: key %#x", MaxGroups, overflow)
-	}
-	// A negative id must stay confined to its own lane too, not
-	// sign-extend across all four.
-	neg := crossKey(0, -1, 0, 0)
-	if neg>>48 != 0 || uint16(neg>>16) != 0 || uint16(neg) != 0 {
-		t.Fatalf("negative group id leaked out of its lane: key %#x", neg)
-	}
-	// In-range ids round-trip exactly through the TrainingData unpacking.
-	key := crossKey(3, 41, 7, 65535)
-	c1, g1 := int(key>>48), keyspace.GroupID(key>>32&0xFFFF)
-	c2, g2 := int(key>>16&0xFFFF), keyspace.GroupID(key&0xFFFF)
-	if c1 != 3 || g1 != 41 || c2 != 7 || g2 != 65535 {
-		t.Fatalf("round-trip gave (%d,%d,%d,%d), want (3,41,7,65535)", c1, g1, c2, g2)
-	}
-	// Distinct in-range tuples must map to distinct keys.
-	if crossKey(1, 2, 3, 4) == crossKey(1, 2, 3, 5) || crossKey(1, 2, 3, 4) == crossKey(2, 1, 3, 4) {
-		t.Fatal("distinct tuples collided")
-	}
-}
-
-func TestNewCollectorRejectsOversizedGroupSpace(t *testing.T) {
-	// Regression: group counts beyond the 16-bit crossKey lane used to be
-	// accepted and collide silently; now they are refused up front.
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("NewCollector accepted %d groups (> %d-entry lane)", MaxGroups+1, MaxGroups)
-		}
-	}()
-	NewCollector(1, MaxGroups+1, 1)
-}
-
 func TestNewCollectorValidation(t *testing.T) {
 	for _, args := range [][3]interface{}{} {
 		_ = args
@@ -288,8 +196,7 @@ func TestNewCollectorValidation(t *testing.T) {
 // FuzzCollector drives Collector and the map-based refCollector with
 // the same seeded sample stream over several Reset epochs — classes
 // appearing and vanishing between epochs, repeated groups within a
-// sample, the overlap matrix armed at some epoch boundary or never —
-// and requires every statistic to agree bit for bit.
+// sample — and requires every statistic to agree bit for bit.
 func FuzzCollector(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed)
@@ -306,12 +213,8 @@ func checkCollector(t *testing.T, rng *rand.Rand) {
 	scale := []float64{1, 0.1, 7.25, 500}[rng.Intn(4)]
 	c, ref := NewCollector(numStreams, numGroups, scale), newRefCollector(numStreams, numGroups, scale)
 	epochs := 1 + rng.Intn(5)
-	armAt := rng.Intn(epochs + 1) // epochs: never armed
 	now := vtime.Time(0)
 	for ep := 0; ep < epochs; ep++ {
-		if ep == armAt {
-			c.ArmOverlap()
-		}
 		// Each epoch samples its own subset of the palette per stream.
 		active := make([][]int, numStreams)
 		for s := range active {
@@ -344,18 +247,18 @@ func checkCollector(t *testing.T, rng *rand.Rand) {
 			ref.Sample(v)
 			now = now.Add(vtime.Millisecond)
 			if rng.Intn(50) == 0 {
-				compareCollectors(t, c, ref, probe, ep >= armAt)
+				compareCollectors(t, c, ref, probe)
 			}
 		}
-		compareCollectors(t, c, ref, probe, ep >= armAt)
+		compareCollectors(t, c, ref, probe)
 		now = now.Add(vtime.Second)
 		c.Reset(now)
 		ref.Reset(now)
-		compareCollectors(t, c, ref, probe, ep >= armAt)
+		compareCollectors(t, c, ref, probe)
 	}
 }
 
-func compareCollectors(t *testing.T, c *Collector, ref *refCollector, probe []int, armed bool) {
+func compareCollectors(t *testing.T, c *Collector, ref *refCollector, probe []int) {
 	t.Helper()
 	same := func(what string, a, b []float64) {
 		t.Helper()
@@ -382,30 +285,7 @@ func compareCollectors(t *testing.T, c *Collector, ref *refCollector, probe []in
 			same("SWVector", c.SWVector(s, ci), ref.SWVector(s, ci))
 			for g := 0; g < c.numGroups; g++ {
 				same("Card", []float64{c.Card(s, ci, keyspace.GroupID(g))}, []float64{ref.Card(s, ci, keyspace.GroupID(g))})
-				if !armed {
-					continue
-				}
-				for _, cj := range probe {
-					for g2 := 0; g2 < c.numGroups; g2++ {
-						g1, g2 := keyspace.GroupID(g), keyspace.GroupID(g2)
-						same("Overlap", []float64{c.Overlap(s, ci, g1, cj, g2)}, []float64{ref.Overlap(s, ci, g1, cj, g2)})
-					}
-				}
 			}
-		}
-		if !armed {
-			if c.streams[s].cross == nil && !panics(func() { c.TrainingData(s) }) {
-				t.Fatal("TrainingData on an unarmed collector did not panic")
-			}
-			continue
-		}
-		got, want := c.TrainingData(s), ref.TrainingData(s)
-		same("TrainingData.Y", got.Y, want.Y)
-		if len(got.X) != len(want.X) {
-			t.Fatalf("TrainingData: %d rows, reference %d", len(got.X), len(want.X))
-		}
-		for i := range got.X {
-			same("TrainingData.X", got.X[i], want.X[i])
 		}
 	}
 }
@@ -414,17 +294,6 @@ func panics(f func()) (p bool) {
 	defer func() { p = recover() != nil }()
 	f()
 	return false
-}
-
-func TestOverlapUnarmedPanics(t *testing.T) {
-	c := NewCollector(1, 4, 1)
-	c.Sample(vec(0, 0, 0, 1, 1, 1))
-	if !panics(func() { c.Overlap(0, 0, 1, 1, 1) }) || !panics(func() { c.TrainingData(0) }) {
-		t.Fatal("reading the overlap matrix of an unarmed collector did not panic")
-	}
-	if !panics(c.ArmOverlap) {
-		t.Fatal("arming mid-epoch did not panic")
-	}
 }
 
 func TestSampleRejectsClassOutOfRange(t *testing.T) {

@@ -65,10 +65,17 @@
 #                      restore / destroy sequences, and the statistics
 #                      collector's dense lanes against its map-based
 #                      reference over seeded sample streams across
-#                      epochs, and the generators' power-law draw
+#                      epochs, the figure harness's overlap recorder
+#                      (the random forest's training data and
+#                      predictions) against its map-based reference,
+#                      and the generators' power-law draw
 #                      kernel against math.Pow at adversarial draws —
 #                      seeded from testdata/fuzz corpora and
 #                      the committed *.script files
+#   ml boundary        the control loop and the statistics collector
+#                      (internal/core, internal/stats) must not depend
+#                      on internal/ml: the random forest is measured by
+#                      the figure harness only
 #   benchmark module   benchmark/ is its own module that compiles against
 #                      internal/ APIs (Engine.Results, core.ExportRequest,
 #                      runtime.Server): vet it and run its short tests, so
@@ -117,7 +124,14 @@ go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScript -fuzztime 10s ./internal/scenario/
 go test -run '^$' -fuzz FuzzExactState -fuzztime 10s ./internal/engine/
 go test -run '^$' -fuzz FuzzCollector -fuzztime 10s ./internal/stats/
+go test -run '^$' -fuzz FuzzOverlapRecorder -fuzztime 10s ./internal/bench/
 go test -run '^$' -fuzz FuzzPowCurve -fuzztime 10s ./internal/workload/
+
+echo "== ml boundary"
+if go list -deps ./internal/core ./internal/stats | grep -qx 'saspar/internal/ml'; then
+    echo "internal/core or internal/stats depends on saspar/internal/ml" >&2
+    exit 1
+fi
 
 echo "== benchmark module (vet + short tests)"
 (cd benchmark && go vet ./... && go test -short ./...)
