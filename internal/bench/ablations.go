@@ -234,7 +234,9 @@ func AblationMLStats(sc Scale) (*MLStatsResult, error) {
 		return req
 	}
 	exactReq := mkReq(false)
-	opts := optimizer.Options{Timeout: time.Second}
+	// A node cap, not a wall-clock budget, ends every solve, so both
+	// objectives are the same on every run and every machine.
+	opts := optimizer.Options{DeterministicBudget: true, MaxNodes: 1000000}
 	exact, err := optimizer.Optimize(exactReq, opts)
 	if err != nil {
 		return nil, err
