@@ -52,7 +52,10 @@
 #                      detector's slowdown cannot fail them
 #   go test -fuzz ...  short smoke over the native fuzz targets —
 #                      keyspace subset remap/anchor math, mip model
-#                      ingestion, the SPSC ring against a model queue,
+#                      ingestion, the branch-and-bound kernel against
+#                      its reference copy (bit-equal status, plan,
+#                      objective, bound and node count), the SPSC
+#                      ring against a model queue,
 #                      the wire decoder against hostile frames, the
 #                      greedy optimizer tier against the B&B optimum,
 #                      the autoscaler policy's rate-limit/bounds
@@ -116,6 +119,7 @@ go test -race ./internal/parallel/ ./internal/optimizer/ ./internal/obs/ ./inter
 echo "== go test -fuzz (smoke)"
 go test -run '^$' -fuzz FuzzSubsetRemap -fuzztime 10s ./internal/keyspace/
 go test -run '^$' -fuzz FuzzDecodeInstance -fuzztime 10s ./internal/mip/
+go test -run '^$' -fuzz FuzzSolveMatchesReference -fuzztime 10s ./internal/mip/
 go test -run '^$' -fuzz FuzzRingModel -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzWire -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzGreedyVsBB -fuzztime 10s ./internal/optimizer/
