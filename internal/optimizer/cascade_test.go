@@ -1,0 +1,92 @@
+package optimizer
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"saspar/internal/keyspace"
+)
+
+// TestCascadePinned pins the cascade's outcome on two anchored shapes
+// under DeterministicBudget: the 14-class serving shape of the tpch
+// benchmark, which runs all three iterations, and the one-class shape of
+// the open-loop aggregation benchmark. The plans, objectives and bound
+// gaps are the ones the cascade produced when every iteration still
+// re-solved the model the previous iteration's merge had just solved at
+// the same gap (8 solves and 160 008 nodes, 4 solves and 60 003 nodes);
+// solving each (model, gap) once removes exactly those repeats and
+// changes nothing else.
+func TestCascadePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		req        *Request
+		solves     int
+		nodes      int64
+		heuristics string
+		via        string
+		objective  float64
+		boundGap   float64
+		assign     string
+	}{
+		{
+			name: "14x32x8", req: cascadeRequest(37, 14),
+			solves: 6, nodes: 120006,
+			heuristics: "opt_gap,timeout,merge_keys,tree_opt",
+			objective:  14813.097717442653, boundGap: 0.49590020779143734,
+			assign: strings.TrimSpace(strings.Repeat("22775404452006431116631673052753 ", 14)),
+		},
+		{
+			name: "1x32x8", req: cascadeRequest(38, 1),
+			solves: 3, nodes: 40002,
+			heuristics: "opt_gap,timeout,merge_keys", via: "merge_keys",
+			objective: 1733.7024999999999, boundGap: 0.1409626719056975,
+			assign: "22472600256537431071635643514701",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			moveCost := make([]float64, len(tc.req.Queries))
+			for i := range moveCost {
+				moveCost[i] = 0.01
+			}
+			res, err := Optimize(tc.req, Options{
+				DeterministicBudget: true, MaxNodes: 20000,
+				Anchor: ringAnchor(tc.req), MoveCost: moveCost,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([]string, len(res.Assign))
+			for qi, a := range res.Assign {
+				var b strings.Builder
+				for g := 0; g < tc.req.NumGroups; g++ {
+					fmt.Fprint(&b, a.Partition(keyspace.GroupID(g)))
+				}
+				rows[qi] = b.String()
+			}
+			assign := strings.Join(rows, " ")
+			heur := strings.Join(res.Heuristics, ",")
+			if res.Solves != tc.solves || res.Nodes != tc.nodes {
+				t.Errorf("%d solves, %d nodes; want %d, %d", res.Solves, res.Nodes, tc.solves, tc.nodes)
+			}
+			if heur != tc.heuristics || res.SucceededVia != tc.via {
+				t.Errorf("via %q (%s); want %q (%s)", res.SucceededVia, heur, tc.via, tc.heuristics)
+			}
+			if res.Objective != tc.objective || res.BoundGap != tc.boundGap {
+				t.Errorf("objective %v, bound gap %v; want %v, %v", res.Objective, res.BoundGap, tc.objective, tc.boundGap)
+			}
+			if assign != tc.assign {
+				t.Errorf("assign\n %s\nwant\n %s", assign, tc.assign)
+			}
+		})
+	}
+}
+
+// cascadeRequest is a 32-group, 8-partition request whose processing
+// latency outweighs its traffic, so the traffic-only root bound leaves
+// every capped solve outside the cascade's widest gap.
+func cascadeRequest(seed int64, queries int) *Request {
+	req := testRequest(seed, queries, 32, 8)
+	req.LatProc = 1
+	return req
+}

@@ -182,7 +182,17 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 		}
 	}
 
+	// An iteration that merged key groups solved the merged model at the
+	// widened gap; the next iteration opens on that same model at that
+	// same gap. exec answers such a repeat from the last result instead
+	// of solving it again, and counts only the solves that ran.
+	var lastIn *mip.Instance
+	var lastGap float64
+	var lastRes *mip.Result
 	exec := func(in *mip.Instance, gap float64, budget time.Duration) (*mip.Result, bool) {
+		if in == lastIn && gap == lastGap {
+			return lastRes, lastRes.Status != mip.Budget
+		}
 		cr.stats.solves++
 		o := mip.Options{RelGap: gap, TimeBudget: budget, MaxNodes: opt.MaxNodes}
 		if in == orig {
@@ -196,6 +206,7 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 			return nil, false
 		}
 		cr.stats.record(res)
+		lastIn, lastGap, lastRes = in, gap, res
 		return res, res.Status != mip.Budget
 	}
 
