@@ -100,3 +100,23 @@ func BenchmarkSolveClasses(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 }
+
+// TestEvaluateAllocsIndependentOfGroups: Evaluate's per-group
+// accumulators are allocated once and cleared per group, so its
+// allocation count does not grow with the number of groups.
+func TestEvaluateAllocsIndependentOfGroups(t *testing.T) {
+	allocs := func(groups int) float64 {
+		in := randInstance(5, 3, groups, 8)
+		assign := make([][]int, len(in.Classes))
+		for ci := range assign {
+			assign[ci] = make([]int, groups)
+			for g := range assign[ci] {
+				assign[ci][g] = (ci + g) % in.NumPartitions
+			}
+		}
+		return testing.AllocsPerRun(10, func() { Evaluate(in, assign) })
+	}
+	if small, large := allocs(4), allocs(64); small != large {
+		t.Fatalf("Evaluate allocates %v times at 4 groups and %v at 64: it allocates per group", small, large)
+	}
+}
