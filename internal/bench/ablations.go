@@ -163,7 +163,10 @@ func AblationModelRepair() (*RepairResult, error) {
 		literal.Classes = append(literal.Classes, nc)
 	}
 
-	opts := mip.Options{TimeBudget: 2 * time.Second, RelGap: 0.01}
+	// Node-capped, not clock-bounded, so every run plans the same: the
+	// repaired model's incumbent stops improving before 3 M nodes (10 M
+	// reads the same).
+	opts := mip.Options{MaxNodes: 3000000, RelGap: 0.01}
 	repaired, err := mip.Solve(inst, opts)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"saspar/internal/keyspace"
+	"saspar/internal/parallel"
 )
 
 // TestCascadePinned pins the cascade's outcome on two anchored shapes
@@ -89,4 +90,35 @@ func cascadeRequest(seed int64, queries int) *Request {
 	req := testRequest(seed, queries, 32, 8)
 	req.LatProc = 1
 	return req
+}
+
+// TestCascadeDiscardsSpeculativeSolves runs a cascade whose first solve
+// proves optimality, once at width 1 and once at width 2. At width 2 a
+// helper runs the next planned solve beside the first; the result must
+// neither count it nor return while it runs, and its token must be back.
+func TestCascadeDiscardsSpeculativeSolves(t *testing.T) {
+	defer parallel.SetBudget(-1)
+	req := testRequest(3, 2, 10, 3)
+	opt := Options{DeterministicBudget: true, MaxNodes: 1000000, OptGap: 1e-9}
+	run := func(budget int) *Result {
+		parallel.SetBudget(budget)
+		res, err := Optimize(req, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq, par := run(0), run(1)
+	if par.Solves != 1 || par.SucceededVia != HeurOptGap || !par.Exact || par.BoundGap != 0 {
+		t.Fatalf("width 2: %d solves via %q, exact %v, bound gap %v; want 1 optimal solve via %q",
+			par.Solves, par.SucceededVia, par.Exact, par.BoundGap, HeurOptGap)
+	}
+	if par.Nodes != seq.Nodes || par.Objective != seq.Objective {
+		t.Errorf("width 2: %d nodes, objective %v; width 1: %d, %v", par.Nodes, par.Objective, seq.Nodes, seq.Objective)
+	}
+	if got := parallel.AcquireTokens(parallel.Budget()); got != parallel.Budget() {
+		t.Errorf("after Optimize returned, %d of %d tokens free", got, parallel.Budget())
+	} else {
+		parallel.ReleaseTokens(got)
+	}
 }

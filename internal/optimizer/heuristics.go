@@ -2,10 +2,13 @@ package optimizer
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"saspar/internal/keyspace"
 	"saspar/internal/mip"
+	"saspar/internal/parallel"
 )
 
 // solveStats accumulates MIP invocation accounting across a cascade:
@@ -23,6 +26,15 @@ func (st *solveStats) record(res *mip.Result) {
 	st.nodes += res.Nodes
 	if g := res.Gap(); g > st.gap {
 		st.gap = g
+	}
+}
+
+// add folds one cascade step's stats into the component's.
+func (st *solveStats) add(o solveStats) {
+	st.solves += o.solves
+	st.nodes += o.nodes
+	if o.gap > st.gap {
+		st.gap = o.gap
 	}
 }
 
@@ -119,8 +131,8 @@ func buildAnchor(req *Request, c *component, opt Options) mip.Options {
 }
 
 func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Instance, anchorOpts mip.Options) *componentResult {
-	cr := &componentResult{comp: c, exact: true}
-	prefer, moveCost := anchorOpts.Prefer, anchorOpts.MoveCost
+	cr := &componentResult{comp: c}
+	prefer := anchorOpts.Prefer
 
 	best := func(assign [][]int) {
 		if assign == nil {
@@ -164,91 +176,159 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 	// applies — a plan outside the (possibly crash-shrunk) partition
 	// domain must never seed the search. MIPOnly stays a pure single
 	// solve, the Fig. 8a "MIP" series.
-	var seed [][]int
+	origOpts := anchorOpts
 	if !opt.MIPOnly && !opt.disabled(HeurGreedy) {
 		refine := opt.RefineGroups
 		if prefer == nil {
 			refine = nil
 		}
-		seed = greedyAssign(orig, anchorOpts, refine)
+		seed := greedyAssign(orig, anchorOpts, refine)
 		if anchorFeasible(seed, orig.NumPartitions) {
 			seedCopy := make([][]int, len(seed))
 			for i, row := range seed {
 				seedCopy[i] = append([]int(nil), row...)
 			}
 			best(seedCopy)
-		} else {
-			seed = nil
+			origOpts.Incumbent = seed
 		}
 	}
 
-	// An iteration that merged key groups solved the merged model at the
-	// widened gap; the next iteration opens on that same model at that
-	// same gap. exec answers such a repeat from the last result instead
-	// of solving it again, and counts only the solves that ran.
+	steps, heuristics := planCascade(req, opt, orig, origOpts)
+	// A node-capped solve does fixed work, so a second core finishes the
+	// same list sooner. A time-budgeted solve does whatever work fits its
+	// window: a second one would only take a core from the serve loop's
+	// tick workers, so that cascade runs one solve at a time.
+	width := 1
+	if opt.Timeout == 0 && len(steps) > 1 {
+		width += parallel.AcquireTokens(1)
+		defer parallel.ReleaseTokens(width - 1)
+	}
+	cr.heuristics = heuristics
+	runSteps(steps, width, func(s *step) bool {
+		cr.stats.add(s.stats)
+		best(s.expand())
+		if !s.ok {
+			return false
+		}
+		cr.via = s.via
+		cr.exact = s.exact
+		cr.heuristics = heuristics[:s.heur]
+		return true
+	})
+	return cr
+}
+
+// step is one entry of the planned cascade: one MIP solve, or one
+// heuristic detour that solves several models. The plan fixes what it
+// solves and what a success there means; running it fills in the rest.
+type step struct {
+	solve    func(st *solveStats) ([][]int, bool)
+	groupMap []int  // original group → group of the model the step solves
+	via      string // cascade step credited when this solve succeeds
+	heur     int    // length of the heuristics list once the step is applied
+	exact    bool   // a success here leaves the component exact
+
+	assign [][]int // plan over the solved model's groups
+	ok     bool    // proved optimal or reached its gap
+	stats  solveStats
+	done   chan struct{}
+}
+
+func (s *step) run() {
+	s.assign, s.ok = s.solve(&s.stats)
+	close(s.done)
+}
+
+func (s *step) finished() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// expand maps the step's plan back onto the original key groups.
+func (s *step) expand() [][]int {
+	if s.assign == nil {
+		return nil
+	}
+	out := make([][]int, len(s.assign))
+	for ci, row := range s.assign {
+		full := make([]int, len(s.groupMap))
+		for g, rg := range s.groupMap {
+			full[g] = row[rg]
+		}
+		out[ci] = full
+	}
+	return out
+}
+
+// planCascade walks Algorithm 1's iterations without solving anything
+// and lists the solves they run, in order, with the full heuristics
+// list. Which models the cascade solves never depends on what an
+// earlier solve returned — only where the cascade stops does — so the
+// list can run ahead of the consumer that decides where to stop.
+//
+// An iteration that merged key groups solved the merged model at the
+// widened gap, and the next iteration opens on that same model at that
+// same gap (as does an iteration whose gap stayed put and merged
+// nothing): such a repeat is not planned, its result is already known
+// to have failed.
+func planCascade(req *Request, opt Options, orig *mip.Instance, origOpts mip.Options) ([]*step, []string) {
+	var steps []*step
+	var heuristics []string
+	groupMap := identityMap(req.NumGroups) // original group → current reduced group
+	add := func(solve func(*solveStats) ([][]int, bool), via string) {
+		steps = append(steps, &step{
+			solve: solve, groupMap: groupMap, via: via,
+			heur: len(heuristics), exact: len(steps) == 0,
+			done: make(chan struct{}),
+		})
+	}
+	// solveAt is the body of one MIP solve; it remembers the last model
+	// and gap it was asked for, to spot a repeat.
 	var lastIn *mip.Instance
 	var lastGap float64
-	var lastRes *mip.Result
-	exec := func(in *mip.Instance, gap float64, budget time.Duration) (*mip.Result, bool) {
-		if in == lastIn && gap == lastGap {
-			return lastRes, lastRes.Status != mip.Budget
-		}
-		cr.stats.solves++
-		o := mip.Options{RelGap: gap, TimeBudget: budget, MaxNodes: opt.MaxNodes}
+	solveAt := func(in *mip.Instance, gap float64) func(*solveStats) ([][]int, bool) {
+		lastIn, lastGap = in, gap
+		var o mip.Options
 		if in == orig {
-			o.Prefer = prefer
-			o.MoveCost = moveCost
-			o.Freeze = anchorOpts.Freeze
-			o.Incumbent = seed
+			o = origOpts
 		}
-		res, err := mip.Solve(in, o)
-		if err != nil {
-			return nil, false
+		o.RelGap, o.TimeBudget, o.MaxNodes = gap, opt.Timeout, opt.MaxNodes
+		return func(st *solveStats) ([][]int, bool) {
+			st.solves++
+			res, err := mip.Solve(in, o)
+			if err != nil {
+				return nil, false
+			}
+			st.record(res)
+			return res.Assign, res.Status != mip.Budget
 		}
-		cr.stats.record(res)
-		lastIn, lastGap, lastRes = in, gap, res
-		return res, res.Status != mip.Budget
 	}
 
 	if opt.MIPOnly {
-		res, ok := exec(orig, 0, opt.Timeout)
-		if res != nil {
-			best(res.Assign)
-			cr.exact = ok
-		}
-		return cr
+		add(solveAt(orig, 0), "")
+		return steps, nil
 	}
 
 	gap := opt.OptGap
-	budget := opt.Timeout
 	cur := orig
-	lastReduction := HeurOptGap            // credit for full-model successes
-	groupMap := identityMap(req.NumGroups) // original group → current reduced group
-	expand := func(assign [][]int) [][]int {
-		out := make([][]int, len(assign))
-		for ci := range assign {
-			row := make([]int, req.NumGroups)
-			for g := 0; g < req.NumGroups; g++ {
-				row[g] = assign[ci][groupMap[g]]
-			}
-			out[ci] = row
-		}
-		return out
+	lastReduction := HeurOptGap // credit for full-model successes
+	detour := func(h string, solve func(*mip.Instance, float64, Options, *solveStats) ([][]int, bool)) {
+		in, g := cur, gap
+		heuristics = append(heuristics, h)
+		add(func(st *solveStats) ([][]int, bool) { return solve(in, g, opt, st) }, h)
 	}
-
 	for iter := 0; iter < opt.IterMax; iter++ {
 		// Heuristics 2+3: gap tolerance and time budget on the full model.
-		cr.heuristics = append(cr.heuristics, HeurOptGap, HeurTimeout)
-		if res, ok := exec(cur, gap, budget); res != nil {
-			best(expand(res.Assign))
-			if ok {
-				// A success on a reduced model owes its feasibility to
-				// the reduction, not to the gap alone.
-				cr.via = lastReduction
-				return cr
-			}
+		heuristics = append(heuristics, HeurOptGap, HeurTimeout)
+		if cur != lastIn || gap != lastGap {
+			// A success on a reduced model owes its feasibility to the
+			// reduction, not to the gap alone.
+			add(solveAt(cur, gap), lastReduction)
 		}
-		cr.exact = false
 		if !opt.disabled(HeurOptGap) {
 			// Widen the acceptable gap, but boundedly: past ~25% the
 			// "solution" would be worse than not optimizing at all, so
@@ -267,54 +347,75 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 			}
 			cur, groupMap = mergeGroups(cur, groupMap, target)
 			lastReduction = HeurMergeKeys
-			cr.heuristics = append(cr.heuristics, HeurMergeKeys)
-			if res, ok := exec(cur, gap, budget); res != nil {
-				best(expand(res.Assign))
-				if ok {
-					cr.via = HeurMergeKeys
-					return cr
-				}
-			}
+			heuristics = append(heuristics, HeurMergeKeys)
+			add(solveAt(cur, gap), HeurMergeKeys)
 		}
 
 		// Heuristic 7: merge partitions (two-phase logical partitions).
 		if !opt.disabled(HeurMergePar) && cur.NumPartitions > opt.NumNodes {
-			cr.heuristics = append(cr.heuristics, HeurMergePar)
-			if assign, ok := mergePartitionsSolve(cur, gap, budget, opt, &cr.stats); assign != nil {
-				best(expand(assign))
-				if ok {
-					cr.via = HeurMergePar
-					return cr
-				}
-			}
+			detour(HeurMergePar, mergePartitionsSolve)
 		}
 
 		// Heuristic 5: tree optimization for many queries.
 		if !opt.disabled(HeurTreeOpt) && len(cur.Classes) > opt.TreeThreshold {
-			cr.heuristics = append(cr.heuristics, HeurTreeOpt)
-			if assign, ok := treeSolve(cur, gap, budget, opt, &cr.stats); assign != nil {
-				best(expand(assign))
-				if ok {
-					cr.via = HeurTreeOpt
-					return cr
-				}
-			}
+			detour(HeurTreeOpt, treeSolve)
 		}
 
 		// Heuristic 6: hybrid execution — shared within similarity
 		// groups, non-shared between them.
 		if !opt.disabled(HeurHybridExec) && len(cur.Classes) > opt.HybridThreshold {
-			cr.heuristics = append(cr.heuristics, HeurHybridExec)
-			if assign, ok := hybridSolve(cur, gap, budget, opt, &cr.stats); assign != nil {
-				best(expand(assign))
-				if ok {
-					cr.via = HeurHybridExec
-					return cr
-				}
-			}
+			detour(HeurHybridExec, hybridSolve)
 		}
 	}
-	return cr
+	return steps, heuristics
+}
+
+// runSteps runs the planned steps on width goroutines — the caller and
+// width-1 helpers, all claiming steps in plan order — and hands each
+// finished step to consume in plan order until consume returns true.
+// Helpers stop claiming once the consumer stops, and runSteps returns
+// only after every step it started has finished, so a step run past
+// the stopping point costs at most its own solve and is never counted.
+// At width 1 the caller runs the steps one by one as it consumes them.
+func runSteps(steps []*step, width int, consume func(*step) bool) {
+	var next atomic.Int64
+	var stop atomic.Bool
+	claim := func() *step {
+		if stop.Load() {
+			return nil
+		}
+		k := int(next.Add(1)) - 1
+		if k >= len(steps) {
+			return nil
+		}
+		return steps[k]
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := claim(); s != nil; s = claim() {
+				s.run()
+			}
+		}()
+	}
+	for _, s := range steps {
+		// While the next step to consume runs elsewhere, help with the
+		// steps after it.
+		for !s.finished() {
+			if c := claim(); c != nil {
+				c.run()
+			} else {
+				<-s.done
+			}
+		}
+		if consume(s) {
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }
 
 // coordinatedDescent hill-climbs group-level moves: for every key
@@ -480,7 +581,7 @@ func mergeGroups(in *mip.Instance, prev []int, target int) (*mip.Instance, []int
 // paired into logical partitions, the reduced model is solved, and a
 // second phase re-solves each logical partition internally over its
 // member partitions.
-func mergePartitionsSolve(in *mip.Instance, gap float64, budget time.Duration, opt Options, st *solveStats) ([][]int, bool) {
+func mergePartitionsSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([][]int, bool) {
 	P := in.NumPartitions
 	LP := (P + 1) / 2
 	if LP < opt.NumNodes {
@@ -510,7 +611,7 @@ func mergePartitionsSolve(in *mip.Instance, gap float64, budget time.Duration, o
 		ph1.LatP[l] /= float64(len(ms))
 	}
 	st.solves++
-	res1, err := mip.Solve(ph1, mip.Options{RelGap: gap, TimeBudget: budget, MaxNodes: opt.MaxNodes})
+	res1, err := mip.Solve(ph1, mip.Options{RelGap: gap, TimeBudget: opt.Timeout, MaxNodes: opt.MaxNodes})
 	if err != nil {
 		return nil, false
 	}
@@ -575,7 +676,7 @@ func mergePartitionsSolve(in *mip.Instance, gap float64, budget time.Duration, o
 			sub.Classes = append(sub.Classes, nc)
 		}
 		st.solves++
-		res2, err := mip.Solve(sub, mip.Options{RelGap: gap, TimeBudget: budget, MaxNodes: opt.MaxNodes})
+		res2, err := mip.Solve(sub, mip.Options{RelGap: gap, TimeBudget: opt.Timeout, MaxNodes: opt.MaxNodes})
 		if err != nil {
 			return nil, false
 		}
@@ -596,7 +697,7 @@ func mergePartitionsSolve(in *mip.Instance, gap float64, budget time.Duration, o
 // statistics merged as if it were a single query, recursively until the
 // class count fits the threshold, then solved once. Every constituent
 // of a merged class inherits its assignment.
-func treeSolve(in *mip.Instance, gap float64, budget time.Duration, opt Options, st *solveStats) ([][]int, bool) {
+func treeSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([][]int, bool) {
 	// membership[i] = original class indexes of merged class i.
 	membership := make([][]int, len(in.Classes))
 	for i := range membership {
@@ -647,7 +748,7 @@ func treeSolve(in *mip.Instance, gap float64, budget time.Duration, opt Options,
 		Classes:       classes,
 	}
 	st.solves++
-	res, err := mip.Solve(reduced, mip.Options{RelGap: gap, TimeBudget: budget, MaxNodes: opt.MaxNodes})
+	res, err := mip.Solve(reduced, mip.Options{RelGap: gap, TimeBudget: opt.Timeout, MaxNodes: opt.MaxNodes})
 	if err != nil {
 		return nil, false
 	}
@@ -707,7 +808,7 @@ func mergeClassPair(a, b mip.Class) mip.Class {
 // hybridSolve implements heuristic 6: classes are clustered by volume
 // similarity into groups solved independently — shared execution inside
 // a group, non-shared across groups.
-func hybridSolve(in *mip.Instance, gap float64, budget time.Duration, opt Options, st *solveStats) ([][]int, bool) {
+func hybridSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([][]int, bool) {
 	groupSize := opt.TreeThreshold
 	if groupSize <= 0 {
 		groupSize = 8
@@ -745,7 +846,7 @@ func hybridSolve(in *mip.Instance, gap float64, budget time.Duration, opt Option
 			sub.Classes = append(sub.Classes, in.Classes[ci])
 		}
 		st.solves++
-		res, err := mip.Solve(sub, mip.Options{RelGap: gap, TimeBudget: budget, MaxNodes: opt.MaxNodes})
+		res, err := mip.Solve(sub, mip.Options{RelGap: gap, TimeBudget: opt.Timeout, MaxNodes: opt.MaxNodes})
 		if err != nil {
 			return nil, false
 		}

@@ -4,6 +4,13 @@
 // cascade of Algorithm 1 (Section IV) when the exact solver cannot
 // finish within its budget: widen the optimality gap, merge key groups,
 // merge partitions, tree-optimize, and fall back to hybrid execution.
+//
+// The cascade is planned before anything is solved: which models it
+// solves never depends on an earlier solve's result, only where it
+// stops does. Under DeterministicBudget the planned solves run two at a
+// time when the process budget (internal/parallel) has a token free,
+// and are consumed in plan order, so plans and counts do not depend on
+// the width; time-budgeted cascades run one solve at a time.
 package optimizer
 
 import (
@@ -143,7 +150,9 @@ type Options struct {
 	// Termination then depends only on the instance, so results are
 	// bit-reproducible across runs, machines and CPU contention — the
 	// mode the parallel-equivalence test runs the harnesses under.
-	// Timeout is ignored; MaxNodes defaults to 200000 when unset.
+	// Timeout is ignored; MaxNodes defaults to 200000 when unset. The
+	// cascade's planned solves may then run two at a time, which
+	// changes when a round finishes, never what it returns.
 	DeterministicBudget bool
 	// Anchor supplies the running assignments (one per request query):
 	// the solver prefers them on ties, so returned plans are

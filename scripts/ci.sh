@@ -16,8 +16,11 @@
 #                      ctl.Begin and one of the solver
 #   go test -race ...  the packages that spawn goroutines — the
 #                      run-matrix pool (internal/parallel), the
-#                      optimizer's parallel component solver
-#                      (internal/optimizer) and the telemetry registry
+#                      optimizer's parallel component solver and its
+#                      node-capped cascade, whose planned solves run two
+#                      at a time (internal/optimizer:
+#                      TestCascadeDiscardsSpeculativeSolves and the
+#                      FuzzCascadeWidth seeds), and the telemetry registry
 #                      written to from harness workers (internal/obs) —
 #                      under the race detector, plus the scenario script
 #                      (internal/scenario) whose generator the pooled
@@ -58,6 +61,9 @@
 #                      ring against a model queue,
 #                      the wire decoder against hostile frames, the
 #                      greedy optimizer tier against the B&B optimum,
+#                      the node-capped cascade at width 1 against width
+#                      2 (bit-equal plans, objective, counts, bound gap,
+#                      heuristics, crediting step and exactness),
 #                      the autoscaler policy's rate-limit/bounds
 #                      safety properties, the checkpoint delta
 #                      chain's materialize/fixpoint invariants, the
@@ -123,6 +129,7 @@ go test -run '^$' -fuzz FuzzSolveMatchesReference -fuzztime 10s ./internal/mip/
 go test -run '^$' -fuzz FuzzRingModel -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzWire -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzGreedyVsBB -fuzztime 10s ./internal/optimizer/
+go test -run '^$' -fuzz FuzzCascadeWidth -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzPolicyStep -fuzztime 10s ./internal/elastic/
 go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScript -fuzztime 10s ./internal/scenario/
