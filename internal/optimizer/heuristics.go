@@ -59,8 +59,10 @@ type componentResult struct {
 // produces a usable plan (the CPLEX "best result up to that point").
 func solveComponent(req *Request, c *component, opt Options) *componentResult {
 	// Above the size threshold the streaming greedy tier replaces the
-	// whole cascade (including the descent polish, whose full-instance
-	// rescoring is quadratic in groups and would dwarf the solve).
+	// whole cascade, including the descent polish: its trials are priced
+	// incrementally, but each still folds the terms of the groups after
+	// the moved one and each group's hoist folds every other group, so a
+	// pass is quadratic in groups and would dwarf the solve.
 	if opt.greedyStandalone(req) {
 		return greedyComponent(req, c, opt)
 	}
@@ -428,15 +430,16 @@ func runSteps(steps []*step, width int, consume func(*step) bool) {
 // it when classes share aligned traffic: moving one class's group
 // alone breaks alignment and looks unprofitable, while moving the
 // group for everyone at once pays.
+//
+// Trials are priced by a descentScorer, which returns the bits of
+// mip.Evaluate + mip.MovementPenalty on the trial assignment without
+// rescoring the whole instance.
 func coordinatedDescent(in *mip.Instance, anchorOpts mip.Options, assign [][]int, budget time.Duration) ([][]int, float64) {
 	cur := make([][]int, len(assign))
 	for i := range assign {
 		cur[i] = append([]int(nil), assign[i]...)
 	}
-	score := func(a [][]int) float64 {
-		return mip.Evaluate(in, a) + mip.MovementPenalty(in, anchorOpts, a)
-	}
-	best := score(cur)
+	best := mip.Evaluate(in, cur) + mip.MovementPenalty(in, anchorOpts, cur)
 
 	// Heaviest groups first.
 	weight := make([]float64, in.NumGroups)
@@ -461,47 +464,34 @@ func coordinatedDescent(in *mip.Instance, anchorOpts mip.Options, assign [][]int
 	}
 	// A group any class froze cannot take part in a coordinated move —
 	// the move shape re-assigns the group for every class at once.
-	frozenGroup := func(g int) bool {
-		for _, row := range anchorOpts.Freeze {
-			if row[g] {
-				return true
-			}
+	frozen := make([]bool, in.NumGroups)
+	for _, row := range anchorOpts.Freeze {
+		for g := range frozen {
+			frozen[g] = frozen[g] || row[g]
 		}
-		return false
 	}
 
+	sc := newDescentScorer(in, anchorOpts, cur)
 	for pass := 0; pass < 4; pass++ {
 		improved := false
 		for _, g := range order {
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				return cur, best
 			}
-			if anchorOpts.Freeze != nil && frozenGroup(g) {
+			if frozen[g] {
 				continue
 			}
-			orig := make([]int, len(cur))
-			for ci := range cur {
-				orig[ci] = cur[ci][g]
-			}
+			sc.hoist(g)
 			bestP, bestObj := -1, best
 			for p := 0; p < in.NumPartitions; p++ {
-				for ci := range cur {
-					cur[ci][g] = p
-				}
-				if obj := score(cur); obj < bestObj {
+				if obj := sc.trial(p); obj < bestObj {
 					bestObj, bestP = obj, p
 				}
 			}
 			if bestP >= 0 {
-				for ci := range cur {
-					cur[ci][g] = bestP
-				}
+				sc.move(bestP)
 				best = bestObj
 				improved = true
-			} else {
-				for ci := range cur {
-					cur[ci][g] = orig[ci]
-				}
 			}
 		}
 		if !improved {

@@ -64,6 +64,9 @@
 #                      the node-capped cascade at width 1 against width
 #                      2 (bit-equal plans, objective, counts, bound gap,
 #                      heuristics, crediting step and exactness),
+#                      the coordinated descent's incremental trial
+#                      scorer against full rescoring (bit-equal trial
+#                      scores, plan and objective),
 #                      the autoscaler policy's rate-limit/bounds
 #                      safety properties, the checkpoint delta
 #                      chain's materialize/fixpoint invariants, the
@@ -130,6 +133,7 @@ go test -run '^$' -fuzz FuzzRingModel -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzWire -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzGreedyVsBB -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzCascadeWidth -fuzztime 10s ./internal/optimizer/
+go test -run '^$' -fuzz FuzzDescentScorer -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzPolicyStep -fuzztime 10s ./internal/elastic/
 go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScript -fuzztime 10s ./internal/scenario/
