@@ -104,7 +104,7 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 		mipMs := float64(time.Since(mipStart).Microseconds()) / 1000
 
 		heurStart := time.Now()
-		heurRes, err := optimizer.Optimize(req, optimizer.Options{Timeout: sc.OptTimeout, OptGap: 0.05})
+		heurRes, err := optimizer.Optimize(req, optimizer.Options{Timeout: sc.OptTimeout})
 		if err != nil {
 			return Fig8Row{}, err
 		}

@@ -64,9 +64,7 @@ func Fig12a(sc Scale) ([]Fig12aRow, error) {
 				Partitions: sc.Partitions * 2 * scaleUp,
 				Groups:     sc.Groups * scaleUp,
 			}, int64(n)*100+seed)
-			res, err := optimizer.Optimize(req, optimizer.Options{
-				Timeout: sc.OptTimeout, OptGap: 0.05,
-			})
+			res, err := optimizer.Optimize(req, optimizer.Options{Timeout: sc.OptTimeout})
 			if err != nil {
 				return Fig12aRow{}, err
 			}

@@ -102,16 +102,6 @@ type Config struct {
 	// doubles per attempt). 0 means the 500ms default.
 	RecoveryBackoff vtime.Duration
 
-	// RecoveryMaxAttempts bounds evacuation attempts per detected
-	// fault; past it the system stays degraded until the next health
-	// change. 0 means the default of 6.
-	RecoveryMaxAttempts int
-
-	// DerateThreshold classifies a node as unhealthy when its CPU or
-	// NIC derating factor falls below it (crashed nodes always are).
-	// 0 means the 0.5 default.
-	DerateThreshold float64
-
 	// Checkpoint arms periodic aligned-barrier checkpointing when its
 	// Interval is non-zero (see internal/checkpoint). With a
 	// fault in the Script, the degraded-mode recovery loop restores
@@ -382,12 +372,6 @@ func New(engCfg engine.Config, streams []engine.StreamDef, queries []engine.Quer
 	}
 	if cfg.RecoveryBackoff <= 0 {
 		cfg.RecoveryBackoff = 500 * vtime.Millisecond
-	}
-	if cfg.RecoveryMaxAttempts <= 0 {
-		cfg.RecoveryMaxAttempts = 6
-	}
-	if cfg.DerateThreshold <= 0 {
-		cfg.DerateThreshold = 0.5
 	}
 	engCfg.Shared = cfg.Enabled
 	eng, err := engine.New(engCfg, streams, queries)

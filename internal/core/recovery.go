@@ -17,6 +17,15 @@ import (
 // with the placement domain restricted to healthy nodes, and retrying
 // with backoff when a recovery reconfiguration is itself interrupted.
 
+const (
+	// recoveryMaxAttempts bounds evacuation attempts per detected fault;
+	// past it the system stays degraded until the next health change.
+	recoveryMaxAttempts = 6
+	// derateThreshold classifies a node as unhealthy when its CPU or NIC
+	// derating factor falls below it (crashed nodes always are).
+	derateThreshold = 0.5
+)
+
 // pollHealth compares the engine's health fingerprint against the last
 // poll. On a change it either enters degraded mode (unhealthy nodes
 // present) or, when a transient fault reverted on its own, lets the
@@ -27,7 +36,7 @@ func (s *System) pollHealth() {
 		return
 	}
 	s.lastHealth = fp
-	unhealthy := s.eng.UnhealthyNodes(s.cfg.DerateThreshold)
+	unhealthy := s.eng.UnhealthyNodes(derateThreshold)
 	if len(unhealthy) == 0 {
 		// The cluster healed without our help (transient expired). Any
 		// pending recovery resolves through stepRecovery's completion
@@ -81,7 +90,7 @@ func (s *System) stepRecovery() {
 	if now < s.nextRecoveryTry {
 		return
 	}
-	if s.recoveryAttempts >= s.cfg.RecoveryMaxAttempts {
+	if s.recoveryAttempts >= recoveryMaxAttempts {
 		// Out of attempts: stay degraded (routine triggers still carry
 		// the placement mask) until the next health change resets us.
 		return
@@ -202,7 +211,7 @@ func (s *System) restoreFromCheckpoint(before vtime.Time) {
 // evacuate to — masking would only make the solve fail).
 func (s *System) allowedPartitions() ([]bool, bool) {
 	bad := map[cluster.NodeID]bool{}
-	for _, n := range s.eng.UnhealthyNodes(s.cfg.DerateThreshold) {
+	for _, n := range s.eng.UnhealthyNodes(derateThreshold) {
 		bad[n] = true
 	}
 	if s.el != nil && s.el.drainingOn {

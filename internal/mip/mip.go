@@ -137,8 +137,6 @@ func (s Status) String() string {
 type Options struct {
 	// RelGap stops the search once (incumbent−bound)/incumbent ≤ RelGap.
 	RelGap float64
-	// AbsGap stops once incumbent−bound ≤ AbsGap.
-	AbsGap float64
 	// TimeBudget bounds wall-clock solve time (0 = unbounded).
 	TimeBudget time.Duration
 	// MaxNodes bounds explored branch-and-bound nodes (0 = unbounded).
@@ -618,9 +616,6 @@ func (s *solver) gapReached() bool {
 		return true
 	}
 	if s.opt.RelGap > 0 && (s.best-s.bound)/s.best <= s.opt.RelGap {
-		return true
-	}
-	if s.opt.AbsGap > 0 && s.best-s.bound <= s.opt.AbsGap {
 		return true
 	}
 	return false

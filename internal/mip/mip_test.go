@@ -101,6 +101,7 @@ func TestValidate(t *testing.T) {
 		func() *Instance { in := randInstance(1, 2, 3, 2); in.Classes = nil; return in }(),
 		func() *Instance { in := randInstance(1, 2, 3, 2); in.Classes[0].Weight = 0; return in }(),
 		func() *Instance { in := randInstance(1, 2, 3, 2); in.Classes[0].Streams[0].SW[0] = 2; return in }(),
+		func() *Instance { in := randInstance(1, 2, 3, 2); in.Classes[0].Streams[0].Card[0] = -1; return in }(),
 		func() *Instance { in := randInstance(1, 2, 3, 2); in.Classes[0].Streams[0].Card = nil; return in }(),
 		func() *Instance { in := randInstance(1, 2, 3, 2); in.Classes[0].Streams[0].Stream = 5; return in }(),
 	}

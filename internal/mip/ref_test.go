@@ -26,11 +26,10 @@ func refSolve(in *Instance, opt Options) *Result {
 // shape packs classes (1–16), groups (1–32), partitions (1–8) and
 // streams (1–3) into its four bytes; flags select an anchor, a movement
 // bill, a freeze mask, an in-domain or out-of-domain incumbent, a
-// relative and an absolute gap, and an uncapped search on instances
-// small enough to exhaust; otherwise the node cap is 1 + capNodes. A
-// class may read one stream twice, so the order stream updates are
-// undone in is exercised. CI runs a short -fuzztime smoke
-// (scripts/ci.sh).
+// relative gap, and an uncapped search on instances small enough to
+// exhaust; otherwise the node cap is 1 + capNodes. A class may read one
+// stream twice, so the order stream updates are undone in is exercised.
+// CI runs a short -fuzztime smoke (scripts/ci.sh).
 func FuzzSolveMatchesReference(f *testing.F) {
 	shape := func(classes, groups, parts, streams int) uint32 {
 		return uint32(classes-1) | uint32(groups-1)<<8 | uint32(parts-1)<<16 | uint32(streams-1)<<24
@@ -42,9 +41,9 @@ func FuzzSolveMatchesReference(f *testing.F) {
 	f.Add(int64(5), shape(3, 2, 4, 2), uint8(anchored|moveCost|uncapped), uint16(0))
 	f.Add(int64(6), shape(4, 16, 8, 2), uint8(anchored|moveCost|freeze), uint16(3000))
 	f.Add(int64(7), shape(4, 16, 8, 2), uint8(incumbent|relGap), uint16(5000))
-	f.Add(int64(4), shape(3, 6, 3, 1), uint8(incumbent|absGap), uint16(6000))
-	f.Add(int64(8), shape(4, 16, 8, 2), uint8(anchored|staleIncumbent|absGap), uint16(5000))
-	f.Add(int64(17), shape(6, 12, 5, 1), uint8(anchored|freeze|relGap|absGap), uint16(7000))
+	f.Add(int64(4), shape(3, 6, 3, 1), uint8(incumbent), uint16(6000))
+	f.Add(int64(8), shape(4, 16, 8, 2), uint8(anchored|staleIncumbent|relGap), uint16(5000))
+	f.Add(int64(17), shape(6, 12, 5, 1), uint8(anchored|freeze|relGap), uint16(7000))
 	f.Add(int64(10), shape(8, 8, 2, 3), uint8(moveCost|incumbent), uint16(1))
 	f.Fuzz(func(t *testing.T, seed int64, shape uint32, flags uint8, capNodes uint16) {
 		in, opt := refCase(seed, shape, flags, capNodes)
@@ -74,7 +73,6 @@ const (
 	incumbent
 	staleIncumbent
 	relGap
-	absGap
 	uncapped
 )
 
@@ -144,9 +142,6 @@ func refCase(seed int64, shape uint32, flags uint8, capNodes uint16) (*Instance,
 	}
 	if flags&relGap != 0 {
 		opt.RelGap = 0.6 * rng.Float64()
-	}
-	if flags&absGap != 0 {
-		opt.AbsGap = 500 * rng.Float64()
 	}
 	opt.MaxNodes = 1 + int64(capNodes)
 	if flags&uncapped != 0 && nc*ng <= 8 && np <= 4 {
@@ -388,9 +383,6 @@ func (s *refSolver) gapReached() bool {
 		return true
 	}
 	if s.opt.RelGap > 0 && (s.best-s.bound)/s.best <= s.opt.RelGap {
-		return true
-	}
-	if s.opt.AbsGap > 0 && s.best-s.bound <= s.opt.AbsGap {
 		return true
 	}
 	return false

@@ -7,25 +7,26 @@ import (
 	"saspar/internal/parallel"
 )
 
-// cascadeFuzzCase decodes a node-capped cascade from fuzz bytes: 1–10
-// query classes over one or two streams, 4–32 key groups, 2–8
-// partitions, 1–3 iterations, a node cap small enough that some
-// cascades stop at their first solve, some mid-cascade and some never,
-// a random set of disabled heuristics, low tree/hybrid/node thresholds
-// so every detour can run, and an optional anchor with or without a
-// movement cost and a refine mask.
+// cascadeFuzzCase decodes a node-capped cascade from fuzz bytes: 1–40
+// query classes over one or two streams, 4–32 key groups, 2–16
+// partitions, a node cap small enough that some cascades stop at their
+// first solve, some mid-cascade and some never, and an optional anchor
+// with or without a movement cost and a refine mask. The class and
+// partition ranges straddle the cascade's constants, so every detour
+// can run: merged partitions above 8 partitions, tree optimization
+// above 8 classes and hybrid execution above 32.
 func cascadeFuzzCase(data []byte) (*Request, Options) {
-	if len(data) < 10 {
+	if len(data) < 6 {
 		return nil, Options{}
 	}
-	queries := 1 + int(data[0])%10
+	queries := 1 + int(data[0])%40
 	groups := 4 + int(data[1])%29
-	partitions := 2 + int(data[2])%7
-	streams := 1 + int(data[9])%2
-	next := 10
+	partitions := 2 + int(data[2])%15
+	streams := 1 + int(data[5])%2
+	next := 6
 	byteAt := func() float64 {
 		if next >= len(data) {
-			next = 10
+			next = 6
 		}
 		if next >= len(data) {
 			return 37
@@ -55,32 +56,16 @@ func cascadeFuzzCase(data []byte) (*Request, Options) {
 		req.Queries = append(req.Queries, QueryStats{ID: fmt.Sprint("q", q), Weight: 1, Inputs: []InputStats{in}})
 	}
 
-	opt := Options{
-		DeterministicBudget: true,
-		IterMax:             1 + int(data[3])%3,
-		MaxNodes:            1 + int64(data[4])*int64(data[4])/16,
-		OptGap:              0.01 + float64(data[8]%16)/100,
-		TreeThreshold:       int(data[7] & 7),
-		HybridThreshold:     int(data[7] >> 4),
-		NumNodes:            1 + int(data[8]>>4)%4,
-	}
-	for bit, h := range []string{HeurOptGap, HeurMergeKeys, HeurMergePar, HeurTreeOpt, HeurHybridExec, HeurGreedy} {
-		if data[5]&(1<<bit) != 0 {
-			if opt.Disable == nil {
-				opt.Disable = map[string]bool{}
-			}
-			opt.Disable[h] = true
-		}
-	}
-	if data[6]&1 != 0 {
+	opt := Options{DeterministicBudget: true, MaxNodes: 1 + int64(data[3])*int64(data[3])/16}
+	if data[4]&1 != 0 {
 		opt.Anchor = ringAnchor(req)
-		if data[6]&2 != 0 {
+		if data[4]&2 != 0 {
 			opt.MoveCost = make([]float64, queries)
 			for i := range opt.MoveCost {
 				opt.MoveCost[i] = byteAt() / 2550
 			}
 		}
-		if data[6]&4 != 0 {
+		if data[4]&4 != 0 {
 			opt.RefineGroups = make([]bool, groups)
 			for g := range opt.RefineGroups {
 				opt.RefineGroups[g] = byteAt() < 128
@@ -94,16 +79,21 @@ func cascadeFuzzCase(data []byte) (*Request, Options) {
 // whether its planned solves run one at a time (no spare token) or two
 // at a time (one spare token): plans, objective, solve and node counts,
 // bound gap, heuristics list, crediting step and exactness agree bit for
-// bit.
+// bit. The widened gap runs on every seed and merged key groups on most;
+// the last three seeds reach merged partitions (12 partitions), tree
+// optimization (12 classes) and hybrid execution (36 classes).
 func FuzzCascadeWidth(f *testing.F) {
-	f.Add([]byte{0, 28, 6, 2, 40, 0, 0, 0, 0, 0, 10, 200, 30, 90, 4, 170})
-	f.Add([]byte{0, 28, 6, 2, 255, 0, 7, 0, 0, 0, 10, 200, 30, 90, 4, 170})
-	f.Add([]byte{9, 28, 6, 2, 60, 0, 3, 0x32, 0x31, 1, 250, 3, 99, 128, 7, 64, 33})
-	f.Add([]byte{4, 12, 1, 1, 20, 0x10, 1, 0x21, 0x10, 0, 1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{6, 20, 4, 0, 120, 0x24, 5, 0, 0x30, 1, 128, 64, 32, 16, 8, 4, 2, 1})
-	f.Add([]byte{2, 6, 0, 2, 200, 0x01, 0, 0x11, 0, 0, 255, 0, 255, 0, 128})
-	f.Add([]byte{0, 11, 2, 2, 255, 0, 0, 0, 0, 0, 10, 200, 30, 90, 4, 170, 77, 26})
-	f.Add([]byte{1, 8, 1, 2, 255, 0, 7, 0, 0, 0, 10, 200, 30, 90, 4, 170, 56, 13})
+	f.Add([]byte{0, 28, 6, 40, 0, 0, 10, 200, 30, 90, 4, 170})
+	f.Add([]byte{0, 28, 6, 255, 7, 0, 10, 200, 30, 90, 4, 170})
+	f.Add([]byte{9, 28, 6, 60, 3, 1, 250, 3, 99, 128, 7, 64, 33})
+	f.Add([]byte{4, 12, 1, 20, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{6, 20, 4, 120, 5, 1, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Add([]byte{2, 6, 0, 200, 0, 0, 255, 0, 255, 0, 128})
+	f.Add([]byte{0, 11, 2, 255, 0, 0, 10, 200, 30, 90, 4, 170, 77, 26})
+	f.Add([]byte{1, 8, 1, 255, 7, 0, 10, 200, 30, 90, 4, 170, 56, 13})
+	f.Add([]byte{3, 20, 10, 30, 1, 0, 10, 200, 30, 90, 4, 170, 77, 26})
+	f.Add([]byte{11, 16, 4, 40, 3, 0, 250, 3, 99, 128, 7, 64, 33})
+	f.Add([]byte{35, 12, 6, 16, 7, 0, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, opt := cascadeFuzzCase(data)
 		if req == nil {

@@ -2,10 +2,12 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"saspar/internal/keyspace"
+	"saspar/internal/mip"
 	"saspar/internal/parallel"
 )
 
@@ -83,6 +85,44 @@ func TestCascadePinned(t *testing.T) {
 	}
 }
 
+// TestCascadeStepsEngage sizes one instance just past the bound that
+// gates each step of the cascade and checks, under a small node cap,
+// that the step runs; on an instance sized at the bound the step is not
+// even planned. Merged key groups need more groups than partitions,
+// merged partitions more than numNodes partitions, tree optimization
+// more than treeThreshold classes and hybrid execution more than
+// hybridThreshold.
+func TestCascadeStepsEngage(t *testing.T) {
+	type shape struct{ queries, groups, partitions int }
+	opt := Options{DeterministicBudget: true, MaxNodes: 10}
+	for _, tc := range []struct {
+		step     string
+		past, at shape
+	}{
+		{HeurOptGap, shape{4, 8, 8}, shape{}},
+		{HeurMergeKeys, shape{4, 9, 8}, shape{4, 8, 8}},
+		{HeurMergePar, shape{4, 9, numNodes + 1}, shape{4, 9, numNodes}},
+		{HeurTreeOpt, shape{treeThreshold + 1, 8, 8}, shape{treeThreshold, 8, 8}},
+		{HeurHybridExec, shape{hybridThreshold + 1, 8, 8}, shape{hybridThreshold, 8, 8}},
+	} {
+		res, err := Optimize(testRequest(11, tc.past.queries, tc.past.groups, tc.past.partitions), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(res.Heuristics, tc.step) {
+			t.Errorf("%s did not run at %+v: %v", tc.step, tc.past, res.Heuristics)
+		}
+		if tc.at == (shape{}) {
+			continue
+		}
+		req := testRequest(11, tc.at.queries, tc.at.groups, tc.at.partitions)
+		_, planned := planCascade(req, opt.withDefaults(), ExportInstance(req), mip.Options{})
+		if slices.Contains(planned, tc.step) {
+			t.Errorf("%s planned at %+v: %v", tc.step, tc.at, planned)
+		}
+	}
+}
+
 // cascadeRequest is a 32-group, 8-partition request whose processing
 // latency outweighs its traffic, so the traffic-only root bound leaves
 // every capped solve outside the cascade's widest gap.
@@ -99,7 +139,7 @@ func cascadeRequest(seed int64, queries int) *Request {
 func TestCascadeDiscardsSpeculativeSolves(t *testing.T) {
 	defer parallel.SetBudget(-1)
 	req := testRequest(3, 2, 10, 3)
-	opt := Options{DeterministicBudget: true, MaxNodes: 1000000, OptGap: 1e-9}
+	opt := Options{DeterministicBudget: true, MaxNodes: 1000000}
 	run := func(budget int) *Result {
 		parallel.SetBudget(budget)
 		res, err := Optimize(req, opt)

@@ -94,13 +94,6 @@ func TestGreedyThresholdDispatch(t *testing.T) {
 	if res.SucceededVia == HeurGreedy || res.Solves == 0 {
 		t.Fatal("MIPOnly dispatched standalone greedy")
 	}
-	res, err = Optimize(req, Options{GreedyThreshold: 1, Disable: map[string]bool{HeurGreedy: true}, Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SucceededVia == HeurGreedy {
-		t.Fatal("disabled greedy still dispatched standalone")
-	}
 }
 
 // The greedy seed is an upper bound the cascade can only improve on:
@@ -122,13 +115,12 @@ func TestGreedySeedNeverWorsens(t *testing.T) {
 		if with.Objective > greedy.Objective+1e-9 {
 			t.Fatalf("seed %d: cascade objective %v worse than its greedy seed %v", seed, with.Objective, greedy.Objective)
 		}
-		without, err := Optimize(req, Options{DeterministicBudget: true, Disable: map[string]bool{HeurGreedy: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if with.Exact && without.Exact {
-			if diff := with.Objective - without.Objective; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("seed %d: exact solves disagree: seeded %v vs unseeded %v", seed, with.Objective, without.Objective)
+		opt := Options{DeterministicBudget: true}.withDefaults()
+		c := components(req)[0]
+		without := solveComponentInner(req, c, opt, buildInstance(req, c), buildAnchor(req, c, opt), nil)
+		if with.Exact && without.exact {
+			if diff := with.Objective - without.objective; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("seed %d: exact solves disagree: seeded %v vs unseeded %v", seed, with.Objective, without.objective)
 			}
 		}
 	}

@@ -22,11 +22,21 @@ type solveStats struct {
 	gap    float64
 }
 
-func (st *solveStats) record(res *mip.Result) {
+// solve counts one MIP solve, runs it at the relative gap under the
+// round's time budget and node cap, and records its nodes and bound
+// gap. It returns nil when the solve fails.
+func (st *solveStats) solve(in *mip.Instance, o mip.Options, gap float64, opt Options) *mip.Result {
+	st.solves++
+	o.RelGap, o.TimeBudget, o.MaxNodes = gap, opt.Timeout, opt.MaxNodes
+	res, err := mip.Solve(in, o)
+	if err != nil {
+		return nil
+	}
 	st.nodes += res.Nodes
 	if g := res.Gap(); g > st.gap {
 		st.gap = g
 	}
+	return res
 }
 
 // add folds one cascade step's stats into the component's.
@@ -68,18 +78,20 @@ func solveComponent(req *Request, c *component, opt Options) *componentResult {
 	}
 	orig := buildInstance(req, c)
 	anchorOpts := buildAnchor(req, c, opt)
-	cr := solveComponentInner(req, c, opt, orig, anchorOpts)
-
-	// Final polish: coordinated group-level moves (all classes of a
-	// group together), which per-class search misses under anchoring.
-	if cr.assign != nil && !opt.MIPOnly {
-		budget := opt.Timeout / 4
-		if assign, obj := coordinatedDescent(orig, anchorOpts, cr.assign, budget); obj < cr.objective {
-			cr.assign = assign
-			cr.objective = obj
+	// Below the standalone threshold the streaming greedy plan still
+	// earns its keep twice: as a candidate plan in its own right, and
+	// as B&B's initial incumbent so pruning starts from a tight upper
+	// bound. MIPOnly stays a pure single solve, the Fig. 8a "MIP"
+	// series.
+	var seed [][]int
+	if !opt.MIPOnly {
+		refine := opt.RefineGroups
+		if anchorOpts.Prefer == nil {
+			refine = nil
 		}
+		seed = greedyAssign(orig, anchorOpts, refine)
 	}
-	return cr
+	return solveComponentInner(req, c, opt, orig, anchorOpts, seed)
 }
 
 // buildAnchor maps the request-level anchor onto a component's classes,
@@ -132,7 +144,9 @@ func buildAnchor(req *Request, c *component, opt Options) mip.Options {
 	return mip.Options{Prefer: prefer, MoveCost: moveCost, Freeze: freeze}
 }
 
-func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Instance, anchorOpts mip.Options) *componentResult {
+// solveComponentInner runs the B&B cascade from the anchor and the
+// greedy seed (nil for none), then polishes its plan.
+func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Instance, anchorOpts mip.Options, seed [][]int) *componentResult {
 	cr := &componentResult{comp: c}
 	prefer := anchorOpts.Prefer
 
@@ -171,28 +185,17 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 		best(anchorRows)
 	}
 
-	// Below the standalone threshold the streaming greedy plan still
-	// earns its keep twice: as a candidate plan in its own right, and
-	// as B&B's initial incumbent so pruning starts from a tight upper
-	// bound. The same anchorFeasible guard that protects anchor seeding
-	// applies — a plan outside the (possibly crash-shrunk) partition
-	// domain must never seed the search. MIPOnly stays a pure single
-	// solve, the Fig. 8a "MIP" series.
+	// The same anchorFeasible guard that protects anchor seeding applies
+	// to the greedy seed — a plan outside the (possibly crash-shrunk)
+	// partition domain must never seed the search.
 	origOpts := anchorOpts
-	if !opt.MIPOnly && !opt.disabled(HeurGreedy) {
-		refine := opt.RefineGroups
-		if prefer == nil {
-			refine = nil
+	if seed != nil && anchorFeasible(seed, orig.NumPartitions) {
+		seedCopy := make([][]int, len(seed))
+		for i, row := range seed {
+			seedCopy[i] = append([]int(nil), row...)
 		}
-		seed := greedyAssign(orig, anchorOpts, refine)
-		if anchorFeasible(seed, orig.NumPartitions) {
-			seedCopy := make([][]int, len(seed))
-			for i, row := range seed {
-				seedCopy[i] = append([]int(nil), row...)
-			}
-			best(seedCopy)
-			origOpts.Incumbent = seed
-		}
+		best(seedCopy)
+		origOpts.Incumbent = seed
 	}
 
 	steps, heuristics := planCascade(req, opt, orig, origOpts)
@@ -203,7 +206,6 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 	width := 1
 	if opt.Timeout == 0 && len(steps) > 1 {
 		width += parallel.AcquireTokens(1)
-		defer parallel.ReleaseTokens(width - 1)
 	}
 	cr.heuristics = heuristics
 	runSteps(steps, width, func(s *step) bool {
@@ -217,6 +219,19 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 		cr.heuristics = heuristics[:s.heur]
 		return true
 	})
+	// The polish runs on this goroutine alone: the spare token goes back
+	// first.
+	parallel.ReleaseTokens(width - 1)
+
+	// Final polish: coordinated group-level moves (all classes of a
+	// group together), which per-class search misses under anchoring.
+	if cr.assign != nil && !opt.MIPOnly {
+		budget := opt.Timeout / 4
+		if assign, obj := coordinatedDescent(orig, anchorOpts, cr.assign, budget); obj < cr.objective {
+			cr.assign = assign
+			cr.objective = obj
+		}
+	}
 	return cr
 }
 
@@ -298,14 +313,11 @@ func planCascade(req *Request, opt Options, orig *mip.Instance, origOpts mip.Opt
 		if in == orig {
 			o = origOpts
 		}
-		o.RelGap, o.TimeBudget, o.MaxNodes = gap, opt.Timeout, opt.MaxNodes
 		return func(st *solveStats) ([][]int, bool) {
-			st.solves++
-			res, err := mip.Solve(in, o)
-			if err != nil {
+			res := st.solve(in, o, gap, opt)
+			if res == nil {
 				return nil, false
 			}
-			st.record(res)
 			return res.Assign, res.Status != mip.Budget
 		}
 	}
@@ -315,7 +327,7 @@ func planCascade(req *Request, opt Options, orig *mip.Instance, origOpts mip.Opt
 		return steps, nil
 	}
 
-	gap := opt.OptGap
+	gap := optGap
 	cur := orig
 	lastReduction := HeurOptGap // credit for full-model successes
 	detour := func(h string, solve func(*mip.Instance, float64, Options, *solveStats) ([][]int, bool)) {
@@ -323,7 +335,7 @@ func planCascade(req *Request, opt Options, orig *mip.Instance, origOpts mip.Opt
 		heuristics = append(heuristics, h)
 		add(func(st *solveStats) ([][]int, bool) { return solve(in, g, opt, st) }, h)
 	}
-	for iter := 0; iter < opt.IterMax; iter++ {
+	for iter := 0; iter < iterMax; iter++ {
 		// Heuristics 2+3: gap tolerance and time budget on the full model.
 		heuristics = append(heuristics, HeurOptGap, HeurTimeout)
 		if cur != lastIn || gap != lastGap {
@@ -331,18 +343,13 @@ func planCascade(req *Request, opt Options, orig *mip.Instance, origOpts mip.Opt
 			// reduction, not to the gap alone.
 			add(solveAt(cur, gap), lastReduction)
 		}
-		if !opt.disabled(HeurOptGap) {
-			// Widen the acceptable gap, but boundedly: past ~25% the
-			// "solution" would be worse than not optimizing at all, so
-			// the cascade moves to structural reductions instead.
-			gap *= 2
-			if gap > 0.25 {
-				gap = 0.25
-			}
-		}
+		// Widen the acceptable gap, but boundedly: past ~25% the
+		// "solution" would be worse than not optimizing at all, so the
+		// cascade moves to structural reductions instead.
+		gap = min(2*gap, 0.25)
 
 		// Heuristic 4: merge key groups down to the partition count.
-		if !opt.disabled(HeurMergeKeys) && cur.NumGroups > req.NumPartitions {
+		if cur.NumGroups > req.NumPartitions {
 			target := cur.NumGroups / 2
 			if target < req.NumPartitions {
 				target = req.NumPartitions
@@ -354,18 +361,18 @@ func planCascade(req *Request, opt Options, orig *mip.Instance, origOpts mip.Opt
 		}
 
 		// Heuristic 7: merge partitions (two-phase logical partitions).
-		if !opt.disabled(HeurMergePar) && cur.NumPartitions > opt.NumNodes {
+		if cur.NumPartitions > numNodes {
 			detour(HeurMergePar, mergePartitionsSolve)
 		}
 
 		// Heuristic 5: tree optimization for many queries.
-		if !opt.disabled(HeurTreeOpt) && len(cur.Classes) > opt.TreeThreshold {
+		if len(cur.Classes) > treeThreshold {
 			detour(HeurTreeOpt, treeSolve)
 		}
 
 		// Heuristic 6: hybrid execution — shared within similarity
 		// groups, non-shared between them.
-		if !opt.disabled(HeurHybridExec) && len(cur.Classes) > opt.HybridThreshold {
+		if len(cur.Classes) > hybridThreshold {
 			detour(HeurHybridExec, hybridSolve)
 		}
 	}
@@ -573,10 +580,7 @@ func mergeGroups(in *mip.Instance, prev []int, target int) (*mip.Instance, []int
 // member partitions.
 func mergePartitionsSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([][]int, bool) {
 	P := in.NumPartitions
-	LP := (P + 1) / 2
-	if LP < opt.NumNodes {
-		LP = opt.NumNodes
-	}
+	LP := max((P+1)/2, numNodes)
 	if LP >= P {
 		return nil, false
 	}
@@ -600,12 +604,10 @@ func mergePartitionsSolve(in *mip.Instance, gap float64, opt Options, st *solveS
 		}
 		ph1.LatP[l] /= float64(len(ms))
 	}
-	st.solves++
-	res1, err := mip.Solve(ph1, mip.Options{RelGap: gap, TimeBudget: opt.Timeout, MaxNodes: opt.MaxNodes})
-	if err != nil {
+	res1 := st.solve(ph1, mip.Options{}, gap, opt)
+	if res1 == nil {
 		return nil, false
 	}
-	st.record(res1)
 	ok := res1.Status != mip.Budget
 
 	// Phase 2: within each logical partition, distribute its groups
@@ -665,12 +667,10 @@ func mergePartitionsSolve(in *mip.Instance, gap float64, opt Options, st *solveS
 			}
 			sub.Classes = append(sub.Classes, nc)
 		}
-		st.solves++
-		res2, err := mip.Solve(sub, mip.Options{RelGap: gap, TimeBudget: opt.Timeout, MaxNodes: opt.MaxNodes})
-		if err != nil {
+		res2 := st.solve(sub, mip.Options{}, gap, opt)
+		if res2 == nil {
 			return nil, false
 		}
-		st.record(res2)
 		ok = ok && res2.Status != mip.Budget
 		for ci := range in.Classes {
 			for i, g := range groups {
@@ -695,7 +695,7 @@ func treeSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([][]
 	}
 	classes := append([]mip.Class(nil), in.Classes...)
 
-	for len(classes) > opt.TreeThreshold {
+	for len(classes) > treeThreshold {
 		// Pair adjacent classes after sorting by total cardinality, so
 		// similar-volume queries merge (the paper pairs Q1,Q2 / Q3,Q4).
 		order := make([]int, len(classes))
@@ -737,12 +737,10 @@ func treeSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([][]
 		LatProc:       in.LatProc,
 		Classes:       classes,
 	}
-	st.solves++
-	res, err := mip.Solve(reduced, mip.Options{RelGap: gap, TimeBudget: opt.Timeout, MaxNodes: opt.MaxNodes})
-	if err != nil {
+	res := st.solve(reduced, mip.Options{}, gap, opt)
+	if res == nil {
 		return nil, false
 	}
-	st.record(res)
 	final := make([][]int, len(in.Classes))
 	for mi, members := range membership {
 		for _, ci := range members {
@@ -799,10 +797,6 @@ func mergeClassPair(a, b mip.Class) mip.Class {
 // similarity into groups solved independently — shared execution inside
 // a group, non-shared across groups.
 func hybridSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([][]int, bool) {
-	groupSize := opt.TreeThreshold
-	if groupSize <= 0 {
-		groupSize = 8
-	}
 	order := make([]int, len(in.Classes))
 	for i := range order {
 		order[i] = i
@@ -820,11 +814,8 @@ func hybridSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([]
 
 	final := make([][]int, len(in.Classes))
 	allOK := true
-	for lo := 0; lo < len(order); lo += groupSize {
-		hi := lo + groupSize
-		if hi > len(order) {
-			hi = len(order)
-		}
+	for lo := 0; lo < len(order); lo += treeThreshold {
+		hi := min(lo+treeThreshold, len(order))
 		sub := &mip.Instance{
 			NumPartitions: in.NumPartitions,
 			NumGroups:     in.NumGroups,
@@ -835,12 +826,10 @@ func hybridSolve(in *mip.Instance, gap float64, opt Options, st *solveStats) ([]
 		for _, ci := range order[lo:hi] {
 			sub.Classes = append(sub.Classes, in.Classes[ci])
 		}
-		st.solves++
-		res, err := mip.Solve(sub, mip.Options{RelGap: gap, TimeBudget: opt.Timeout, MaxNodes: opt.MaxNodes})
-		if err != nil {
+		res := st.solve(sub, mip.Options{}, gap, opt)
+		if res == nil {
 			return nil, false
 		}
-		st.record(res)
 		allOK = allOK && res.Status != mip.Budget
 		for i, ci := range order[lo:hi] {
 			final[ci] = append([]int(nil), res.Assign[i]...)

@@ -4,6 +4,9 @@
 // cascade of Algorithm 1 (Section IV) when the exact solver cannot
 // finish within its budget: widen the optimality gap, merge key groups,
 // merge partitions, tree-optimize, and fall back to hybrid execution.
+// The cascade is fixed: its iteration count, starting gap and size
+// thresholds are the package constants below, and callers choose only
+// how each solve is bounded (a time budget or a node cap).
 //
 // The cascade is planned before anything is solved: which models it
 // solves never depends on an earlier solve's result, only where it
@@ -100,7 +103,8 @@ func (r *Request) latP() []float64 {
 	return out
 }
 
-// Heuristic names for tracing and selective disabling (Fig. 12a).
+// Heuristic names for tracing and for crediting the step that produced
+// a plan (Fig. 12a's success attribution).
 const (
 	HeurOptGap     = "opt_gap"
 	HeurTimeout    = "timeout"
@@ -108,8 +112,20 @@ const (
 	HeurMergePar   = "merge_par"
 	HeurTreeOpt    = "tree_opt"
 	HeurHybridExec = "hybrid_exec"
-	HeurParallel   = "parallel_streams"
 	HeurGreedy     = "greedy"
+)
+
+// Algorithm 1's fixed cascade (Section IV).
+const (
+	iterMax = 3    // cascade iterations
+	optGap  = 0.05 // relative gap of the first solve
+	// treeThreshold triggers tree optimization above this many classes;
+	// it is also the class count of one hybrid-execution group.
+	treeThreshold = 8
+	// hybridThreshold triggers hybrid execution above this many classes.
+	hybridThreshold = 32
+	// numNodes floors partition merging at the paper's 8-node testbed.
+	numNodes = 8
 )
 
 // DefaultGreedyThreshold is the groups × partitions product at which
@@ -121,27 +137,12 @@ const DefaultGreedyThreshold = 1 << 17
 
 // Options control Algorithm 1.
 type Options struct {
-	// IterMax is the heuristic cascade iteration bound (default 3).
-	IterMax int
 	// Timeout is the per-MIP-invocation time budget (default 4s, the
 	// paper's Fig. 8a setting).
 	Timeout time.Duration
-	// OptGap is the initial relative optimality gap (default 0.05).
-	OptGap float64
-	// TreeThreshold triggers tree-optimization above this many classes
-	// (default 8, per Section IV).
-	TreeThreshold int
-	// HybridThreshold triggers hybrid execution above this many classes
-	// (default 32, per Section IV).
-	HybridThreshold int
-	// NumNodes floors partition merging (default 8).
-	NumNodes int
 	// MIPOnly disables the whole cascade: one exact solve with the time
 	// budget (the "MIP" series of Fig. 8a).
 	MIPOnly bool
-	// Disable turns off individual heuristics by name (Fig. 12a's
-	// remove-one ablation).
-	Disable map[string]bool
 	// MaxNodes caps solver nodes per invocation (0 = time budget only).
 	MaxNodes int64
 	// DeterministicBudget replaces every wall-clock cutoff in the
@@ -170,7 +171,7 @@ type Options struct {
 	// or above it to the streaming greedy tier instead of the B&B
 	// cascade (0 = DefaultGreedyThreshold, negative = never standalone).
 	// Below the threshold the greedy plan still seeds B&B as its
-	// initial incumbent unless Disable[HeurGreedy] is set.
+	// initial incumbent.
 	GreedyThreshold int
 	// RefineGroups, when non-nil alongside Anchor, marks the key groups
 	// eligible for re-placement this round (true = stats moved, re-place;
@@ -193,23 +194,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.IterMax <= 0 {
-		o.IterMax = 3
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = 4 * time.Second
-	}
-	if o.OptGap <= 0 {
-		o.OptGap = 0.05
-	}
-	if o.TreeThreshold <= 0 {
-		o.TreeThreshold = 8
-	}
-	if o.HybridThreshold <= 0 {
-		o.HybridThreshold = 32
-	}
-	if o.NumNodes <= 0 {
-		o.NumNodes = 8
 	}
 	if o.DeterministicBudget {
 		// Timeout 0 disables every wall-clock deadline downstream; the
@@ -222,13 +208,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func (o Options) disabled(h string) bool { return o.Disable != nil && o.Disable[h] }
-
 // greedyStandalone reports whether the streaming greedy tier replaces
 // the B&B cascade for this request size. MIPOnly keeps its "one exact
 // solve" contract regardless of size.
 func (o Options) greedyStandalone(req *Request) bool {
-	if o.MIPOnly || o.disabled(HeurGreedy) {
+	if o.MIPOnly {
 		return false
 	}
 	t := o.GreedyThreshold
@@ -287,7 +271,7 @@ func Optimize(req *Request, opt Options) (*Result, error) {
 
 	comps := components(req)
 	results := make([]*componentResult, len(comps))
-	if len(comps) > 1 && !opt.disabled(HeurParallel) {
+	if len(comps) > 1 {
 		// Heuristic 1: independent stream components solve in parallel.
 		var wg sync.WaitGroup
 		for i, c := range comps {

@@ -147,14 +147,12 @@ func TestHeuristicsEngageUnderTinyBudget(t *testing.T) {
 	res, err := Optimize(req, Options{
 		Timeout:  5 * time.Millisecond,
 		MaxNodes: 500,
-		IterMax:  2,
-		OptGap:   1e-9, // demand near-optimality so the budget genuinely fails
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Exact {
-		t.Fatal("a 500-node budget cannot prove near-optimality on 12q/32g/16p")
+		t.Fatal("a 500-node budget cannot reach the 5% gap on 12q/32g/16p")
 	}
 	if len(res.Heuristics) < 3 {
 		t.Fatalf("heuristic cascade too short: %v", res.Heuristics)
@@ -176,10 +174,8 @@ func TestHeuristicsEngageUnderTinyBudget(t *testing.T) {
 func TestHybridEngagesAboveThreshold(t *testing.T) {
 	req := testRequest(3, 40, 16, 8)
 	res, err := Optimize(req, Options{
-		Timeout:         5 * time.Millisecond,
-		MaxNodes:        300,
-		IterMax:         1,
-		HybridThreshold: 32,
+		Timeout:  5 * time.Millisecond,
+		MaxNodes: 300,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,33 +186,6 @@ func TestHybridEngagesAboveThreshold(t *testing.T) {
 	}
 	if !seen[HeurHybridExec] {
 		t.Fatalf("hybrid execution not engaged: %v", res.Heuristics)
-	}
-}
-
-func TestDisableHeuristics(t *testing.T) {
-	req := testRequest(4, 12, 32, 16)
-	res, err := Optimize(req, Options{
-		Timeout:  5 * time.Millisecond,
-		MaxNodes: 300,
-		IterMax:  1,
-		Disable: map[string]bool{
-			HeurMergeKeys: true, HeurMergePar: true,
-			HeurTreeOpt: true, HeurHybridExec: true,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range res.Heuristics {
-		if h == HeurMergeKeys || h == HeurTreeOpt || h == HeurMergePar || h == HeurHybridExec {
-			t.Fatalf("disabled heuristic %s still ran", h)
-		}
-	}
-	// Even with everything disabled the incumbent must be usable.
-	for qi, a := range res.Assign {
-		if a == nil || !a.Complete() {
-			t.Fatalf("query %d unassigned", qi)
-		}
 	}
 }
 
@@ -241,7 +210,7 @@ func TestHeuristicObjectiveWithinFactorOfExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heur, err := Optimize(req, Options{Timeout: 20 * time.Millisecond, MaxNodes: 2000, IterMax: 2})
+	heur, err := Optimize(req, Options{Timeout: 20 * time.Millisecond, MaxNodes: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}

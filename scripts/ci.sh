@@ -54,8 +54,8 @@
 #                      bounded by node caps and not by the clock so the
 #                      detector's slowdown cannot fail them
 #   go test -fuzz ...  short smoke over the native fuzz targets —
-#                      keyspace subset remap/anchor math, mip model
-#                      ingestion, the branch-and-bound kernel against
+#                      keyspace subset remap/anchor math, the
+#                      branch-and-bound kernel against
 #                      its reference copy (bit-equal status, plan,
 #                      objective, bound and node count), the SPSC
 #                      ring against a model queue,
@@ -127,7 +127,6 @@ go test -race ./internal/parallel/ ./internal/optimizer/ ./internal/obs/ ./inter
 
 echo "== go test -fuzz (smoke)"
 go test -run '^$' -fuzz FuzzSubsetRemap -fuzztime 10s ./internal/keyspace/
-go test -run '^$' -fuzz FuzzDecodeInstance -fuzztime 10s ./internal/mip/
 go test -run '^$' -fuzz FuzzSolveMatchesReference -fuzztime 10s ./internal/mip/
 go test -run '^$' -fuzz FuzzRingModel -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzWire -fuzztime 10s ./internal/runtime/
