@@ -122,7 +122,6 @@ func serveCmd(args []string) {
 		ring      = fs.Int("ring", 64, "ingest ring capacity, blocks per (stream, task)")
 		blockrows = fs.Int("blockrows", 4096, "rows per ingest block")
 		greedyAt  = fs.Int("greedy-threshold", 0, "groups×partitions size at which the optimizer switches to the one-pass greedy tier (0 = default, negative = never)")
-		refineAt  = fs.Float64("refine-drift", 0, "per-group drift above which a drift-fired round re-places only the moved groups (0 = always full re-solve)")
 	)
 	cf.Register(fs)
 	cf.RegisterSeed(fs)
@@ -154,7 +153,6 @@ func serveCmd(args []string) {
 	coreCfg := core.DefaultConfig()
 	coreCfg.TriggerInterval = 8 * vtime.Second
 	coreCfg.Opt = optimizer.Options{Timeout: 200e6, GreedyThreshold: *greedyAt}
-	coreCfg.RefineDrift = *refineAt
 	coreCfg.Obs = obs.New()
 
 	srv, err := runtime.NewServer(runtime.Config{

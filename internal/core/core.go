@@ -58,17 +58,6 @@ type Config struct {
 	// new plan replaces the running one (hysteresis against churn).
 	MinImprovement float64
 
-	// RefineDrift, when > 0, turns drift-fired optimizations into
-	// incremental re-solves: only key groups whose normalized share
-	// moved by more than this since the previous epoch are eligible for
-	// re-placement; every other group keeps its anchored partition. The
-	// mask reaches the solver as Options.RefineGroups, which only the
-	// greedy standalone tier honors — on cascade-sized instances a full
-	// re-solve is cheap enough that restricting it buys nothing. When
-	// every group moved (or none did), the round degrades to a full
-	// re-solve.
-	RefineDrift float64
-
 	// PlanHorizon is how many statistics epochs a new plan is expected
 	// to stay in force. A plan is applied only when its per-epoch gain
 	// times the horizon exceeds the one-time cost of moving the window
@@ -177,9 +166,6 @@ func (c Config) Validate() error {
 	if c.MinImprovement < 0 {
 		return fmt.Errorf("core: MinImprovement must be non-negative, got %v", c.MinImprovement)
 	}
-	if c.RefineDrift < 0 {
-		return fmt.Errorf("core: RefineDrift must be non-negative, got %v", c.RefineDrift)
-	}
 	if c.PlanHorizon < 0 {
 		return fmt.Errorf("core: PlanHorizon must be non-negative (0 disables movement amortization), got %v", c.PlanHorizon)
 	}
@@ -210,7 +196,6 @@ type System struct {
 	lastEpoch     vtime.Time
 	triggers      int
 	driftTriggers int
-	refines       int // drift triggers solved incrementally (refine mask)
 	skipped       int // optimizations whose plan was not worth applying
 	// skip diagnostics
 	skippedByGain, skippedByMove int
@@ -271,7 +256,6 @@ type sysObs struct {
 	reg *obs.Registry
 
 	trigPeriodic, trigDrift, trigManual *obs.Counter
-	refines                             *obs.Counter
 	accepted, skipGain, skipMove        *obs.Counter
 	solves, nodes                       *obs.Counter
 	boundGap                            *obs.Gauge
@@ -314,8 +298,6 @@ func newSysObs(r *obs.Registry) *sysObs {
 		accepted:     dec("accepted"),
 		skipGain:     dec("skipped_gain"),
 		skipMove:     dec("skipped_move"),
-		refines: r.Counter("saspar_optimizer_refines_total",
-			"Drift-fired rounds solved incrementally: only drifted key groups re-placed."),
 		solves: r.Counter("saspar_optimizer_solves_total",
 			"MIP invocations across all optimization rounds."),
 		nodes: r.Counter("saspar_optimizer_nodes_total",
@@ -448,7 +430,6 @@ type Report struct {
 	// Control loop.
 	Triggers      int // optimizer invocations that passed the sample gate
 	DriftTriggers int // subset fired early by the drift signal
-	RefineSolves  int // drift triggers solved incrementally (refine mask)
 	SkippedPlans  int // solved plans not worth a reconfiguration
 	SkippedByGain int // ...of those, plans that missed the gain bar outright
 	SkippedByMove int // ...plans gated only by the amortized movement bill
@@ -544,7 +525,6 @@ func (s *System) Snapshot() Report {
 		Enabled:            s.cfg.Enabled,
 		Triggers:           s.triggers,
 		DriftTriggers:      s.driftTriggers,
-		RefineSolves:       s.refines,
 		SkippedPlans:       s.skipped,
 		SkippedByGain:      s.skippedByGain,
 		SkippedByMove:      s.skippedByMove,
@@ -654,27 +634,6 @@ func (s *System) maxDrift() float64 {
 	return worst
 }
 
-// refineMask marks the key groups whose normalized share moved by more
-// than RefineDrift under any class of any stream since the previous
-// statistics epoch, and counts the marked groups. Everything else is
-// eligible for freezing at its anchored partition.
-func (s *System) refineMask(numGroups int) ([]bool, int) {
-	mask := make([]bool, numGroups)
-	n := 0
-	for st := 0; st < s.eng.NumStreams(); st++ {
-		for g, d := range s.col.GroupDrift(st) {
-			if g >= numGroups {
-				break
-			}
-			if d > s.cfg.RefineDrift && !mask[g] {
-				mask[g] = true
-				n++
-			}
-		}
-	}
-	return mask, n
-}
-
 // Trigger reasons, also the values of the optimizer_trigger event's
 // reason attribute and the triggers_total counter label.
 const (
@@ -729,19 +688,6 @@ func (s *System) trigger(reason string) {
 		return
 	}
 	snap.curObj = curObj
-	if reason == triggerDrift && s.cfg.RefineDrift > 0 {
-		if mask, n := s.refineMask(snap.req.NumGroups); n > 0 && n < snap.req.NumGroups {
-			// Incremental re-solve: freeze everything that held still.
-			// A mask that marks nothing (drift was spread too thin) or
-			// everything degrades to an ordinary full re-solve.
-			snap.opt.RefineGroups = mask
-			snap.refined = n
-			s.refines++
-			if s.obs != nil {
-				s.obs.refines.Inc()
-			}
-		}
-	}
 	if h := s.cfg.PlanHorizon; h > 0 {
 		// Moving a key group re-ships its in-window state through the
 		// network twice; amortized over the plan's expected lifetime
@@ -830,7 +776,6 @@ func (s *System) install(snap *planSnapshot, res *optimizer.Result) {
 				obs.I("solves", int64(res.Solves)),
 				obs.I("nodes", res.Nodes),
 				obs.F("bound_gap", res.BoundGap),
-				obs.I("refined_groups", int64(snap.refined)),
 				obs.S("via", via))
 		}
 		s.col.Reset(s.eng.Clock())

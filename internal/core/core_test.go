@@ -317,51 +317,3 @@ func TestSharingRatioMeasured(t *testing.T) {
 		t.Fatalf("sharing ratio %v, want ~4", r)
 	}
 }
-
-// TestRefineDriftIncrementalResolve drives a workload where a small hot
-// set jumps between epochs while the tail holds still: drift-fired
-// rounds must go through the incremental refine path (a partial
-// RefineGroups mask handed to the greedy tier), visible as RefineSolves
-// in the report.
-func TestRefineDriftIncrementalResolve(t *testing.T) {
-	jumpy := engine.StreamDef{
-		Name: "j", NumCols: 3, BytesPerTuple: 100,
-		NewSource: func(task int) engine.Source {
-			i := int64(task) * 31
-			return workload.RowAdapter(engine.GeneratorFunc(func(tu *engine.Tuple, ts vtime.Time) {
-				i++
-				epoch := int64(ts) / int64(2*vtime.Second)
-				if i%10 < 4 {
-					// 40% of volume on one key that jumps every epoch.
-					tu.Cols[0] = epoch % 4
-				} else {
-					// Stationary tail.
-					tu.Cols[0] = 4 + i%12
-				}
-				tu.Cols[1] = tu.Cols[0]
-				tu.Cols[2] = 1
-			}))
-		},
-	}
-	cfg := fastCfg()
-	cfg.TriggerInterval = 20 * vtime.Second
-	cfg.DriftTrigger = 0.3
-	cfg.RefineDrift = 0.1
-	cfg.Opt.GreedyThreshold = 1 // force the greedy tier, which honors the mask
-	s, err := New(testEngineConfig(), []engine.StreamDef{jumpy}, sameKeyQueries(2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Engine().SetStreamRate(0, 20000)
-	s.Run(21 * vtime.Second)
-	snap := s.Snapshot()
-	if snap.DriftTriggers == 0 {
-		t.Fatalf("drift trigger never fired (triggers=%d)", snap.Triggers)
-	}
-	if snap.RefineSolves == 0 {
-		t.Fatalf("no drift round used the refine mask (driftTriggers=%d)", snap.DriftTriggers)
-	}
-	if snap.RefineSolves > snap.DriftTriggers {
-		t.Fatalf("RefineSolves %d exceeds DriftTriggers %d", snap.RefineSolves, snap.DriftTriggers)
-	}
-}

@@ -39,8 +39,7 @@ type planSnapshot struct {
 	opt     optimizer.Options
 
 	// Set by trigger; relocate's plans skip the hysteresis gate.
-	curObj  float64
-	refined int
+	curObj float64
 }
 
 // snapshotPlan copies the optimizer's input out of the running system:

@@ -18,12 +18,12 @@ type engObs struct {
 	reshuffled  *obs.Counter
 	jitCompiles *obs.Counter
 
-	inboxBytes    *obs.Gauge
-	inboxMax      *obs.Gauge
-	outstanding   *obs.Gauge
-	shardWorkMax  *obs.Gauge
-	shardWorkMean *obs.Gauge
-	queueDepth    *obs.Histogram
+	inboxBytes   *obs.Gauge
+	inboxMax     *obs.Gauge
+	outstanding  *obs.Gauge
+	nodeWorkMax  *obs.Gauge
+	nodeWorkMean *obs.Gauge
+	queueDepth   *obs.Histogram
 }
 
 // SetObs attaches a telemetry registry to the engine (nil detaches).
@@ -51,10 +51,10 @@ func (e *Engine) SetObs(r *obs.Registry) {
 			"Largest single-node ingress buffer occupancy."),
 		outstanding: r.Gauge("saspar_engine_outstanding_state_moves",
 			"Window-state fragments moved but not yet merged at their new owner."),
-		shardWorkMax: r.Gauge("saspar_engine_shard_work_max",
-			"Largest per-node slot-entry consumption last tick (node-derived, so identical at any shard count)."),
-		shardWorkMean: r.Gauge("saspar_engine_shard_work_mean",
-			"Mean per-node slot-entry consumption last tick (node-derived, so identical at any shard count)."),
+		nodeWorkMax: r.Gauge("saspar_engine_node_work_max",
+			"Largest per-node slot-entry consumption last tick (node-derived, so identical at any tick-worker count)."),
+		nodeWorkMean: r.Gauge("saspar_engine_node_work_mean",
+			"Mean per-node slot-entry consumption last tick (node-derived, so identical at any tick-worker count)."),
 		queueDepth: r.Histogram("saspar_engine_inbox_depth_bytes",
 			"Per-tick distribution of total ingress buffer occupancy.",
 			[]float64{1 << 16, 1 << 20, 16 << 20, 64 << 20, 256 << 20}),
@@ -83,9 +83,9 @@ func (e *Engine) observeTick() {
 		}
 		e.nodeWork[i] = 0
 	}
-	e.obs.shardWorkMax.Set(float64(wMax))
+	e.obs.nodeWorkMax.Set(float64(wMax))
 	if len(e.nodeWork) > 0 {
-		e.obs.shardWorkMean.Set(float64(wSum) / float64(len(e.nodeWork)))
+		e.obs.nodeWorkMean.Set(float64(wSum) / float64(len(e.nodeWork)))
 	}
 }
 

@@ -155,15 +155,6 @@ type Options struct {
 	// it directly against the incumbent plan's score.
 	MoveCost []float64
 
-	// Freeze, when set alongside Prefer, pins (class, group) decisions
-	// with a true entry to their preferred partition: the search
-	// explores no other candidate for them, so a refine round's cost is
-	// proportional to the drifted groups rather than the whole keyspace.
-	// Entries whose Prefer is missing or out of domain are ignored — a
-	// group whose anchor a shrunk domain invalidated is re-placed
-	// regardless of the mask. Must match Prefer's shape when set.
-	Freeze [][]bool
-
 	// Incumbent, when non-nil, seeds the search with a known-feasible
 	// assignment (Incumbent[class][group] = partition): its objective
 	// becomes the initial upper bound, tightening pruning from node 0.
@@ -214,19 +205,6 @@ func Solve(in *Instance, opt Options) (*Result, error) {
 	}
 	if opt.MoveCost != nil && len(opt.MoveCost) != len(in.Classes) {
 		return nil, fmt.Errorf("mip: MoveCost covers %d classes, want %d", len(opt.MoveCost), len(in.Classes))
-	}
-	if opt.Freeze != nil {
-		if opt.Prefer == nil {
-			return nil, fmt.Errorf("mip: Freeze requires Prefer")
-		}
-		if len(opt.Freeze) != len(in.Classes) {
-			return nil, fmt.Errorf("mip: Freeze covers %d classes, want %d", len(opt.Freeze), len(in.Classes))
-		}
-		for ci, row := range opt.Freeze {
-			if len(row) != in.NumGroups {
-				return nil, fmt.Errorf("mip: Freeze class %d covers %d groups, want %d", ci, len(row), in.NumGroups)
-			}
-		}
 	}
 	if opt.Incumbent != nil {
 		if len(opt.Incumbent) != len(in.Classes) {
@@ -391,7 +369,6 @@ type solver struct {
 type decision struct {
 	g, ci    int
 	pref     int     // anchored partition, -1 for none
-	frozen   bool    // pinned to pref: the only candidate
 	moveCost float64 // movement bill of any partition but pref
 	lo, hi   int     // the class's streams: terms[lo:hi]
 }
@@ -511,7 +488,6 @@ func newSolver(in *Instance, opt Options) *solver {
 			if opt.Prefer != nil {
 				dc.pref = opt.Prefer[ci][g]
 			}
-			dc.frozen = opt.Freeze != nil && opt.Freeze[ci][g] && dc.pref >= 0 && dc.pref < P
 			if dc.pref >= 0 && opt.MoveCost != nil {
 				for _, cs := range c.Streams {
 					dc.moveCost += opt.MoveCost[ci] * c.Weight * cs.Card[g]
@@ -666,12 +642,8 @@ func (s *solver) dfs(depth int) {
 	// so the first — and on ties, the returned — solution stays close
 	// to the incumbent assignment.
 	pref := dc.pref
-	lo, hi := 0, P
-	if dc.frozen {
-		lo, hi = pref, pref+1
-	}
 	cands := s.cands[depth*P : depth*P : (depth+1)*P]
-	for p := lo; p < hi; p++ {
+	for p := 0; p < P; p++ {
 		var d, mk float64
 		for i := range terms {
 			t := &terms[i]
@@ -835,12 +807,8 @@ func (s *solver) greedy() [][]int {
 		}
 		terms := s.terms[dc.lo:dc.hi]
 		unshLat := s.unshLat[dc.lo*P : dc.hi*P]
-		lo, hi := 0, P
-		if dc.frozen {
-			lo, hi = dc.pref, dc.pref+1
-		}
 		bestP, bestCost := 0, math.Inf(1)
-		for p := lo; p < hi; p++ {
+		for p := 0; p < P; p++ {
 			var d float64
 			for i, t := range terms {
 				k := t.k0 + p

@@ -25,11 +25,11 @@ func refSolve(in *Instance, opt Options) *Result {
 // bit: the same status, assignment, objective, bound and node count.
 // shape packs classes (1–16), groups (1–32), partitions (1–8) and
 // streams (1–3) into its four bytes; flags select an anchor, a movement
-// bill, a freeze mask, an in-domain or out-of-domain incumbent, a
-// relative gap, and an uncapped search on instances small enough to
-// exhaust; otherwise the node cap is 1 + capNodes. A class may read one
-// stream twice, so the order stream updates are undone in is exercised.
-// CI runs a short -fuzztime smoke (scripts/ci.sh).
+// bill, an in-domain or out-of-domain incumbent, a relative gap, and
+// an uncapped search on instances small enough to exhaust; otherwise
+// the node cap is 1 + capNodes. A class may read one stream twice, so
+// the order stream updates are undone in is exercised. CI runs a short
+// -fuzztime smoke (scripts/ci.sh).
 func FuzzSolveMatchesReference(f *testing.F) {
 	shape := func(classes, groups, parts, streams int) uint32 {
 		return uint32(classes-1) | uint32(groups-1)<<8 | uint32(parts-1)<<16 | uint32(streams-1)<<24
@@ -39,11 +39,11 @@ func FuzzSolveMatchesReference(f *testing.F) {
 	f.Add(int64(3), shape(3, 6, 3, 2), uint8(0), uint16(4000))
 	f.Add(int64(4), shape(2, 4, 3, 1), uint8(uncapped), uint16(0))
 	f.Add(int64(5), shape(3, 2, 4, 2), uint8(anchored|moveCost|uncapped), uint16(0))
-	f.Add(int64(6), shape(4, 16, 8, 2), uint8(anchored|moveCost|freeze), uint16(3000))
+	f.Add(int64(6), shape(4, 16, 8, 2), uint8(anchored|moveCost), uint16(3000))
 	f.Add(int64(7), shape(4, 16, 8, 2), uint8(incumbent|relGap), uint16(5000))
 	f.Add(int64(4), shape(3, 6, 3, 1), uint8(incumbent), uint16(6000))
 	f.Add(int64(8), shape(4, 16, 8, 2), uint8(anchored|staleIncumbent|relGap), uint16(5000))
-	f.Add(int64(17), shape(6, 12, 5, 1), uint8(anchored|freeze|relGap), uint16(7000))
+	f.Add(int64(17), shape(6, 12, 5, 1), uint8(anchored|relGap), uint16(7000))
 	f.Add(int64(10), shape(8, 8, 2, 3), uint8(moveCost|incumbent), uint16(1))
 	f.Fuzz(func(t *testing.T, seed int64, shape uint32, flags uint8, capNodes uint16) {
 		in, opt := refCase(seed, shape, flags, capNodes)
@@ -69,7 +69,6 @@ func FuzzSolveMatchesReference(f *testing.F) {
 const (
 	anchored = 1 << iota
 	moveCost
-	freeze
 	incumbent
 	staleIncumbent
 	relGap
@@ -118,15 +117,6 @@ func refCase(seed int64, shape uint32, flags uint8, capNodes uint16) (*Instance,
 	if flags&anchored != 0 {
 		// Mostly in domain, sometimes unset or past the last partition.
 		opt.Prefer = table(func() int { return rng.Intn(np+2) - 1 })
-		if flags&freeze != 0 {
-			opt.Freeze = make([][]bool, nc)
-			for c := range opt.Freeze {
-				opt.Freeze[c] = make([]bool, ng)
-				for g := range opt.Freeze[c] {
-					opt.Freeze[c][g] = rng.Intn(3) > 0
-				}
-			}
-		}
 	}
 	if flags&moveCost != 0 {
 		opt.MoveCost = make([]float64, nc)
@@ -439,7 +429,6 @@ func (s *refSolver) dfs(gi, ci int) {
 	if s.opt.Prefer != nil {
 		pref = s.opt.Prefer[ci][g]
 	}
-	frozen := s.frozenAt(ci, g, pref)
 	moveCost := 0.0
 	if pref >= 0 && s.opt.MoveCost != nil {
 		for _, cs := range c.Streams {
@@ -449,9 +438,6 @@ func (s *refSolver) dfs(gi, ci int) {
 	depth := gi*len(s.in.Classes) + ci
 	cands := s.cands[depth*s.in.NumPartitions : depth*s.in.NumPartitions : (depth+1)*s.in.NumPartitions]
 	for p := 0; p < s.in.NumPartitions; p++ {
-		if frozen && p != pref {
-			continue
-		}
 		var d, mk float64
 		for _, cs := range c.Streams {
 			k := cs.Stream*s.in.NumPartitions + p
@@ -566,13 +552,6 @@ func (s *refSolver) makespanCost() float64 {
 	return c
 }
 
-// frozenAt reports whether decision (class ci, group g) is pinned to
-// its preferred partition pref: the Freeze mask says so and the anchor
-// is inside the domain.
-func (s *refSolver) frozenAt(ci, g, pref int) bool {
-	return s.opt.Freeze != nil && s.opt.Freeze[ci][g] && pref >= 0 && pref < s.in.NumPartitions
-}
-
 // anchorAssign returns the Prefer table as a complete assignment, or
 // nil when no complete anchor is set.
 func (s *refSolver) anchorAssign() [][]int {
@@ -646,12 +625,8 @@ func (s *refSolver) greedy() [][]int {
 					moveCost += s.opt.MoveCost[ci] * c.Weight * cs.Card[g]
 				}
 			}
-			frozen := s.frozenAt(ci, g, pref)
 			bestP, bestCost := 0, math.Inf(1)
 			for p := 0; p < in.NumPartitions; p++ {
-				if frozen && p != pref {
-					continue
-				}
 				var d float64
 				for _, cs := range c.Streams {
 					k := cs.Stream*in.NumPartitions + p

@@ -25,8 +25,10 @@ const (
 	// reason=stale (it arrived after the plan it was solved for was
 	// gone) with new_obj, solve_ms, solves, nodes.
 	EvPlanSkipped EventKind = "plan_skipped"
-	// EvDriftDetected: per-group share drift exceeded DriftTrigger
-	// before the periodic interval elapsed. Attrs: drift, threshold.
+	// EvDriftDetected: the largest per-stream L1 distance between a
+	// class's key-group distribution and its previous epoch's exceeded
+	// DriftTrigger before the periodic interval elapsed. Attrs: drift,
+	// threshold.
 	EvDriftDetected EventKind = "drift_detected"
 	// EvAlignStart: AQE began marker alignment for a new plan.
 	// Attrs: queries, moved_groups.

@@ -11,7 +11,7 @@ import (
 // query classes over one or two streams, 4–32 key groups, 2–16
 // partitions, a node cap small enough that some cascades stop at their
 // first solve, some mid-cascade and some never, and an optional anchor
-// with or without a movement cost and a refine mask. The class and
+// with or without a movement cost. The class and
 // partition ranges straddle the cascade's constants, so every detour
 // can run: merged partitions above 8 partitions, tree optimization
 // above 8 classes and hybrid execution above 32.
@@ -63,12 +63,6 @@ func cascadeFuzzCase(data []byte) (*Request, Options) {
 			opt.MoveCost = make([]float64, queries)
 			for i := range opt.MoveCost {
 				opt.MoveCost[i] = byteAt() / 2550
-			}
-		}
-		if data[4]&4 != 0 {
-			opt.RefineGroups = make([]bool, groups)
-			for g := range opt.RefineGroups {
-				opt.RefineGroups[g] = byteAt() < 128
 			}
 		}
 	}

@@ -42,23 +42,11 @@ func coordinatedDescentRef(in *mip.Instance, anchorOpts mip.Options, assign [][]
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
-	frozenGroup := func(g int) bool {
-		for _, row := range anchorOpts.Freeze {
-			if row[g] {
-				return true
-			}
-		}
-		return false
-	}
-
 	for pass := 0; pass < 4; pass++ {
 		improved := false
 		for _, g := range order {
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				return cur, best
-			}
-			if anchorOpts.Freeze != nil && frozenGroup(g) {
-				continue
 			}
 			orig := make([]int, len(cur))
 			for ci := range cur {
@@ -97,8 +85,8 @@ func coordinatedDescentRef(in *mip.Instance, anchorOpts mip.Options, assign [][]
 // groups, 1–7 partitions with uneven (sometimes zero) LatP, zero cards,
 // sharing coefficients of exactly 0 and 1 among fractional ones, and a
 // starting assignment whose classes disagree on groups. Flag bits add
-// an anchor with -1 entries, a movement cost (some classes' zero) and
-// a freeze table. The last return is a byte source for the walk.
+// an anchor with -1 entries and a movement cost (some classes' zero).
+// The last return is a byte source for the walk.
 func descentFuzzCase(data []byte) (*mip.Instance, mip.Options, [][]int, func() int) {
 	if len(data) < 6 {
 		return nil, mip.Options{}, nil, nil
@@ -170,15 +158,6 @@ func descentFuzzCase(data []byte) (*mip.Instance, mip.Options, [][]int, func() i
 			opts.MoveCost = make([]float64, nc)
 			for c := range opts.MoveCost {
 				opts.MoveCost[c] = float64(byteAt()%50) / 70
-			}
-		}
-		if flags&4 != 0 {
-			opts.Freeze = make([][]bool, nc)
-			for c := range opts.Freeze {
-				opts.Freeze[c] = make([]bool, ng)
-				for g := range opts.Freeze[c] {
-					opts.Freeze[c][g] = byteAt() < 40
-				}
 			}
 		}
 	}
@@ -256,7 +235,7 @@ func BenchmarkCoordinatedDescent(b *testing.B) {
 		name  string
 		start [][]int
 	}{
-		{"greedy", greedyAssign(in, anchorOpts, nil)},
+		{"greedy", greedyAssign(in, anchorOpts)},
 		{"anchor", anchorOpts.Prefer},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -26,11 +26,7 @@ import (
 func greedyComponent(req *Request, c *component, opt Options) *componentResult {
 	orig := buildInstance(req, c)
 	anchorOpts := buildAnchor(req, c, opt)
-	refine := opt.RefineGroups
-	if anchorOpts.Prefer == nil {
-		refine = nil // no anchor to freeze unmoved groups against
-	}
-	assign := greedyAssign(orig, anchorOpts, refine)
+	assign := greedyAssign(orig, anchorOpts)
 	cr := &componentResult{
 		comp:       c,
 		assign:     assign,
@@ -75,10 +71,8 @@ type greedyState struct {
 	cnt   []int      // [partition] popcount of nbr
 }
 
-// greedyAssign runs the streaming pass over an instance. refine, when
-// non-nil, freezes groups with a false entry at their anchored
-// partition (groups lacking a feasible anchor are placed anyway).
-func greedyAssign(in *mip.Instance, anchorOpts mip.Options, refine []bool) [][]int {
+// greedyAssign runs the streaming pass over an instance.
+func greedyAssign(in *mip.Instance, anchorOpts mip.Options) [][]int {
 	P, G, S := in.NumPartitions, in.NumGroups, in.NumStreams
 	var mean float64
 	for _, l := range in.LatP {
@@ -125,60 +119,24 @@ func greedyAssign(in *mip.Instance, anchorOpts mip.Options, refine []bool) [][]i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
 
-	// Frozen groups first: they pin load the pass must route around.
-	movable := order[:0:len(order)]
-	for _, g := range order {
-		if refine != nil && !refine[g] && st.groupAnchored(g) {
-			st.placeFrozen(g)
-			continue
-		}
-		movable = append(movable, g)
-	}
-
 	// Warm-up block: the heaviest prefix is spread by pure load
 	// balance to seed per-partition load, then (neighbor sets cleared)
 	// re-placed by the full cost vector in the touch-up pass below.
 	warm := P
-	if warm > len(movable)/4 {
-		warm = len(movable) / 4
+	if warm > G/4 {
+		warm = G / 4
 	}
-	for _, g := range movable[:warm] {
+	for _, g := range order[:warm] {
 		st.placeLeastLoaded(g)
 	}
-	for _, g := range movable[warm:] {
+	for _, g := range order[warm:] {
 		st.placeGroup(g)
 	}
-	for _, g := range movable[:warm] {
+	for _, g := range order[:warm] {
 		st.removeGroup(g)
 		st.placeGroup(g)
 	}
 	return st.assign
-}
-
-// groupAnchored reports whether every class anchors group g on a real
-// partition — the precondition for freezing it in a refine pass.
-func (st *greedyState) groupAnchored(g int) bool {
-	if st.prefer == nil {
-		return false
-	}
-	for _, row := range st.prefer {
-		if p := row[g]; p < 0 || p >= st.in.NumPartitions {
-			return false
-		}
-	}
-	return true
-}
-
-// placeFrozen pins group g at its anchored partitions and folds its
-// load in; sharing state is group-local and needs no carry-over.
-func (st *greedyState) placeFrozen(g int) {
-	for ci, c := range st.in.Classes {
-		p := st.prefer[ci][g]
-		st.assign[ci][g] = p
-		for _, cs := range c.Streams {
-			st.addLoad(cs.Stream, p, c.Weight*cs.Card[g])
-		}
-	}
 }
 
 // placeLeastLoaded is the warm-up placement: the whole group (all

@@ -214,74 +214,6 @@ func TestMIPIncumbentOutOfDomainIgnored(t *testing.T) {
 	}
 }
 
-// Refine mode: frozen groups stay put, moved groups may re-place, and
-// the plan never scores worse than staying put entirely.
-func TestGreedyRefineFreezesUnmovedGroups(t *testing.T) {
-	req := testRequest(86, 3, 200, 8)
-	anchor := ringAnchor(req)
-	refine := make([]bool, req.NumGroups)
-	for g := 0; g < req.NumGroups; g += 5 {
-		refine[g] = true // every fifth group "drifted"
-	}
-	res, err := Optimize(req, Options{
-		GreedyThreshold: forceGreedy,
-		Anchor:          anchor,
-		MoveCost:        []float64{0.1, 0.1, 0.1},
-		RefineGroups:    refine,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, a := range res.Assign {
-		for g := 0; g < req.NumGroups; g++ {
-			if refine[g] {
-				continue
-			}
-			got := a.Partition(keyspace.GroupID(g))
-			want := anchor[qi].Partition(keyspace.GroupID(g))
-			if got != want {
-				t.Fatalf("query %d frozen group %d moved %d → %d", qi, g, want, got)
-			}
-		}
-	}
-	stay, err := Score(req, anchor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Objective > stay+1e-9 {
-		t.Fatalf("refine plan %v worse than staying put %v", res.Objective, stay)
-	}
-}
-
-// Refine under a shrunk domain: groups frozen by the mask but anchored
-// on a now-excluded partition must be evacuated anyway.
-func TestGreedyRefineEvacuatesExcludedAnchors(t *testing.T) {
-	req := testRequest(87, 2, 64, 4)
-	anchor := ringAnchor(req)
-	refine := make([]bool, req.NumGroups) // freeze everything
-	allowed := []bool{true, true, true, false}
-	res, err := Optimize(req, Options{
-		GreedyThreshold:   forceGreedy,
-		Anchor:            anchor,
-		MoveCost:          []float64{0.5, 0.5},
-		RefineGroups:      refine,
-		AllowedPartitions: allowed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, a := range res.Assign {
-		if !a.Complete() {
-			t.Fatalf("query %d incomplete", qi)
-		}
-		for g := 0; g < req.NumGroups; g++ {
-			if p := int(a.Partition(keyspace.GroupID(g))); p == 3 {
-				t.Fatalf("query %d group %d still on excluded partition 3", qi, g)
-			}
-		}
-	}
-}
-
 // The acceptance-scale instance: 64 partitions × 100k groups must solve
 // well inside one optimizer interval (the paper's 4s Fig. 8a budget).
 func TestGreedyScaleInsideOptimizerInterval(t *testing.T) {

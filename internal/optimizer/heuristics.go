@@ -85,20 +85,12 @@ func solveComponent(req *Request, c *component, opt Options) *componentResult {
 	// series.
 	var seed [][]int
 	if !opt.MIPOnly {
-		refine := opt.RefineGroups
-		if anchorOpts.Prefer == nil {
-			refine = nil
-		}
-		seed = greedyAssign(orig, anchorOpts, refine)
+		seed = greedyAssign(orig, anchorOpts)
 	}
 	return solveComponentInner(req, c, opt, orig, anchorOpts, seed)
 }
 
-// buildAnchor maps the request-level anchor onto a component's classes,
-// including the (class, group) freeze table a refine mask induces: a
-// group is frozen when the mask says it did not drift and its anchor is
-// inside the partition domain (anchors a shrunk domain invalidated are
-// re-placed regardless of the mask).
+// buildAnchor maps the request-level anchor onto a component's classes.
 func buildAnchor(req *Request, c *component, opt Options) mip.Options {
 	var prefer [][]int
 	var moveCost []float64
@@ -123,25 +115,7 @@ func buildAnchor(req *Request, c *component, opt Options) mip.Options {
 			}
 		}
 	}
-	var freeze [][]bool
-	if opt.RefineGroups != nil && prefer != nil {
-		any := false
-		freeze = make([][]bool, len(prefer))
-		for ci, row := range prefer {
-			fr := make([]bool, len(row))
-			for g, p := range row {
-				if !opt.RefineGroups[g] && p >= 0 && p < req.NumPartitions {
-					fr[g] = true
-					any = true
-				}
-			}
-			freeze[ci] = fr
-		}
-		if !any {
-			freeze = nil
-		}
-	}
-	return mip.Options{Prefer: prefer, MoveCost: moveCost, Freeze: freeze}
+	return mip.Options{Prefer: prefer, MoveCost: moveCost}
 }
 
 // solveComponentInner runs the B&B cascade from the anchor and the
@@ -153,18 +127,6 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 	best := func(assign [][]int) {
 		if assign == nil {
 			return
-		}
-		// The refine mask is a hard promise: whatever cascade path
-		// produced the plan (reduced models search unfrozen), frozen
-		// groups are clamped back to their anchor before scoring.
-		if anchorOpts.Freeze != nil {
-			for ci, row := range anchorOpts.Freeze {
-				for g, fr := range row {
-					if fr {
-						assign[ci][g] = prefer[ci][g]
-					}
-				}
-			}
 		}
 		obj := mip.Evaluate(orig, assign) + mip.MovementPenalty(orig, anchorOpts, assign)
 		if cr.assign == nil || obj < cr.objective {
@@ -469,24 +431,12 @@ func coordinatedDescent(in *mip.Instance, anchorOpts mip.Options, assign [][]int
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
-	// A group any class froze cannot take part in a coordinated move —
-	// the move shape re-assigns the group for every class at once.
-	frozen := make([]bool, in.NumGroups)
-	for _, row := range anchorOpts.Freeze {
-		for g := range frozen {
-			frozen[g] = frozen[g] || row[g]
-		}
-	}
-
 	sc := newDescentScorer(in, anchorOpts, cur)
 	for pass := 0; pass < 4; pass++ {
 		improved := false
 		for _, g := range order {
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				return cur, best
-			}
-			if frozen[g] {
-				continue
 			}
 			sc.hoist(g)
 			bestP, bestObj := -1, best

@@ -173,16 +173,6 @@ type Options struct {
 	// Below the threshold the greedy plan still seeds B&B as its
 	// initial incumbent.
 	GreedyThreshold int
-	// RefineGroups, when non-nil alongside Anchor, marks the key groups
-	// eligible for re-placement this round (true = stats moved, re-place;
-	// false = keep the anchored partition). Both tiers honor the mask:
-	// the greedy standalone pass pins frozen groups before placing the
-	// rest, and the B&B cascade restricts each frozen (class, group)
-	// decision to its anchored partition (mip.Options.Freeze), so
-	// incremental rounds shrink below GreedyThreshold too. Groups whose
-	// anchor is missing or out of domain are always re-placed. Must
-	// cover NumGroups entries when set.
-	RefineGroups []bool
 	// AllowedPartitions, when non-nil, restricts the placement domain:
 	// partitions with a false entry (crashed or derated nodes) receive
 	// no key groups. The solver runs on the reduced partition set and
@@ -259,9 +249,6 @@ type Result struct {
 func Optimize(req *Request, opt Options) (*Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.RefineGroups != nil && len(opt.RefineGroups) != req.NumGroups {
-		return nil, fmt.Errorf("optimizer: RefineGroups covers %d groups, want %d", len(opt.RefineGroups), req.NumGroups)
 	}
 	if opt.AllowedPartitions != nil {
 		return optimizeRestricted(req, opt)

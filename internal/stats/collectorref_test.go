@@ -180,31 +180,6 @@ func (c *refCollector) Drift(stream int) float64 {
 	return worst
 }
 
-// GroupDrift reports, per key group, the largest absolute change of
-// the group's normalized share under any class of the stream since the
-// previous epoch. It is the per-group decomposition of Drift: the
-// trigger policy uses the stream-level L1 to decide WHETHER to
-// re-optimize, and this vector to decide WHICH groups are worth
-// re-placing (the greedy tier's incremental refine pass). Classes with
-// no previous-epoch archive contribute nothing, mirroring Drift.
-func (c *refCollector) GroupDrift(stream int) []float64 {
-	out := make([]float64, c.numGroups)
-	ss := c.streams[stream]
-	for ci, cv := range ss.card {
-		prev := c.prev[stream][ci]
-		if prev == nil {
-			continue
-		}
-		cur := refNormalize(cv)
-		for g := range cur {
-			if d := math.Abs(cur[g] - prev[g]); d > out[g] {
-				out[g] = d
-			}
-		}
-	}
-	return out
-}
-
 // Reset closes the current statistics epoch: distributions are archived
 // for drift detection and counters cleared.
 func (c *refCollector) Reset(now vtime.Time) {

@@ -172,23 +172,6 @@ func (c *Collector) Drift(stream int) float64 {
 	return worst
 }
 
-// GroupDrift reports, per key group, the largest absolute change of
-// the group's normalized share under any class of the stream since the
-// previous epoch. It is the per-group decomposition of Drift: the
-// trigger policy uses the stream-level L1 to decide WHETHER to
-// re-optimize, and this vector to decide WHICH groups are worth
-// re-placing (the greedy tier's incremental refine pass). Classes with
-// no previous-epoch archive contribute nothing, mirroring Drift.
-func (c *Collector) GroupDrift(stream int) []float64 {
-	out := make([]float64, c.numGroups)
-	for _, d := range c.classDrift(stream) {
-		for g, x := range d {
-			out[g] = max(out[g], x)
-		}
-	}
-	return out
-}
-
 // classDrift returns, per class sampled in this epoch and the previous
 // one, the absolute change of each group's normalized share.
 func (c *Collector) classDrift(stream int) [][]float64 {

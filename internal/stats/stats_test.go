@@ -115,41 +115,6 @@ func TestDriftDetection(t *testing.T) {
 	}
 }
 
-func TestGroupDriftLocalizesMovement(t *testing.T) {
-	c := NewCollector(1, 4, 1)
-	// Epoch 1: half the volume on group 0, half on group 1.
-	for i := 0; i < 100; i++ {
-		c.Sample(vec(0, 0, 0, i%2))
-	}
-	c.Reset(vtime.Time(vtime.Second))
-	if gd := c.GroupDrift(0); gd[0] != 0 || gd[1] != 0 {
-		t.Fatalf("drift right after reset = %v, want zeros (no data yet)", gd)
-	}
-	// Epoch 2: group 1's share moved to group 2; group 0 held still.
-	for i := 0; i < 100; i++ {
-		g := 0
-		if i%2 == 1 {
-			g = 2
-		}
-		c.Sample(vec(0, 0, 0, g))
-	}
-	gd := c.GroupDrift(0)
-	if math.Abs(gd[1]-0.5) > 1e-9 || math.Abs(gd[2]-0.5) > 1e-9 {
-		t.Fatalf("moved groups drift = %v, want 0.5 at groups 1 and 2", gd)
-	}
-	if gd[0] > 1e-9 || gd[3] > 1e-9 {
-		t.Fatalf("stationary groups drifted: %v", gd)
-	}
-	// The per-group decomposition must tile the stream-level L1.
-	var sum float64
-	for _, d := range gd {
-		sum += d
-	}
-	if math.Abs(sum-c.Drift(0)) > 1e-9 {
-		t.Fatalf("sum of group drifts %v != stream drift %v", sum, c.Drift(0))
-	}
-}
-
 func TestResetClearsCounts(t *testing.T) {
 	c := NewCollector(2, 4, 1)
 	c.Sample(vec(1, 0, 0, 2))
@@ -279,7 +244,6 @@ func compareCollectors(t *testing.T, c *Collector, ref *refCollector, probe []in
 			t.Fatalf("stream %d: Classes = %v, reference %v", s, got, want)
 		}
 		same("Drift", []float64{c.Drift(s)}, []float64{ref.Drift(s)})
-		same("GroupDrift", c.GroupDrift(s), ref.GroupDrift(s))
 		for _, ci := range probe {
 			same("CardVector", c.CardVector(s, ci), ref.CardVector(s, ci))
 			same("SWVector", c.SWVector(s, ci), ref.SWVector(s, ci))
