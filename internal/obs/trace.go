@@ -17,8 +17,11 @@ const (
 	// Attrs: reason (periodic|drift|manual), samples, cur_obj.
 	EvOptimizerTrigger EventKind = "optimizer_trigger"
 	// EvPlanAccepted: a new plan beat the hysteresis gate and was
-	// handed to AQE. Attrs: cur_obj, new_obj, move_cost, moved_groups,
-	// solves, nodes, bound_gap, heuristics, exact.
+	// handed to AQE. Attrs: cur_obj, new_obj, moved_groups, solves,
+	// nodes, bound_gap, via (the cascade step credited with the plan, or
+	// incumbent when none was). A round that ran no cascade (an anchored
+	// round of more than eight query classes) reads solves=0 nodes=0
+	// bound_gap=0 via=incumbent.
 	EvPlanAccepted EventKind = "plan_accepted"
 	// EvPlanSkipped: the solved plan was rejected. Attrs: reason
 	// (gain|movement), cur_obj, new_obj, gross_obj, solves, nodes; or

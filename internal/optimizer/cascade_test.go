@@ -11,19 +11,24 @@ import (
 	"saspar/internal/parallel"
 )
 
-// TestCascadePinned pins the cascade's outcome on two anchored shapes
-// under DeterministicBudget: the 14-class serving shape of the tpch
-// benchmark, which runs all three iterations, and the one-class shape of
-// the open-loop aggregation benchmark. The plans, objectives and bound
-// gaps are the ones the cascade produced when every iteration still
-// re-solved the model the previous iteration's merge had just solved at
-// the same gap (8 solves and 160 008 nodes, 4 solves and 60 003 nodes);
+// TestCascadePinned pins the optimizer's outcome under
+// DeterministicBudget on the 14-class serving shape of the tpch
+// benchmark and the one-class shape of the open-loop aggregation
+// benchmark. Anchored, the 14-class round runs no cascade (more than
+// treeThreshold classes): its plan is the descent from the anchor, the
+// plan and objective the full cascade also returned after six solves
+// and 120 006 nodes that never beat the anchor. Unanchored, the same
+// request runs all three cascade iterations, and so does the anchored
+// one-class round. The cascades' plans, objectives and bound gaps are
+// the ones they produced when every iteration still re-solved the model
+// the previous iteration's merge had just solved at the same gap;
 // solving each (model, gap) once removes exactly those repeats and
 // changes nothing else.
 func TestCascadePinned(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		req        *Request
+		unanchored bool
 		solves     int
 		nodes      int64
 		heuristics string
@@ -34,10 +39,21 @@ func TestCascadePinned(t *testing.T) {
 	}{
 		{
 			name: "14x32x8", req: cascadeRequest(37, 14),
+			objective: 14813.097717442653,
+			assign:    strings.TrimSpace(strings.Repeat("22775404452006431116631673052753 ", 14)),
+		},
+		{
+			name: "14x32x8/unanchored", req: cascadeRequest(37, 14), unanchored: true,
 			solves: 6, nodes: 120006,
 			heuristics: "opt_gap,timeout,merge_keys,tree_opt",
-			objective:  14813.097717442653, boundGap: 0.49590020779143734,
-			assign: strings.TrimSpace(strings.Repeat("22775404452006431116631673052753 ", 14)),
+			objective:  17638.980882209573, boundGap: 0.49590020779143734,
+			assign: "05045100602003104106117340272643 05045503600004135116117550270043 " +
+				"60145704614163406126217561273043 61145506621244436120227374233333 " +
+				"62245703616260507147327344277613 63545504601271527101357366212033 " +
+				"17145700601305677140157046277353 24645200625161645142217040271153 " +
+				"43645106624405674152427154205053 77245103620347537151437271227153 " +
+				"73145000622002107150237752215303 74045206631116076136577174221223 " +
+				"73245303636226477173557240272663 33145104645245625174577453202063",
 		},
 		{
 			name: "1x32x8", req: cascadeRequest(38, 1),
@@ -52,10 +68,11 @@ func TestCascadePinned(t *testing.T) {
 			for i := range moveCost {
 				moveCost[i] = 0.01
 			}
-			res, err := Optimize(tc.req, Options{
-				DeterministicBudget: true, MaxNodes: 20000,
-				Anchor: ringAnchor(tc.req), MoveCost: moveCost,
-			})
+			opt := Options{DeterministicBudget: true, MaxNodes: 20000}
+			if !tc.unanchored {
+				opt.Anchor, opt.MoveCost = ringAnchor(tc.req), moveCost
+			}
+			res, err := Optimize(tc.req, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

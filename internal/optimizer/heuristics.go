@@ -70,9 +70,11 @@ type componentResult struct {
 func solveComponent(req *Request, c *component, opt Options) *componentResult {
 	// Above the size threshold the streaming greedy tier replaces the
 	// whole cascade, including the descent polish: its trials are priced
-	// incrementally, but each still folds the terms of the groups after
-	// the moved one and each group's hoist folds every other group, so a
-	// pass is quadratic in groups and would dwarf the solve.
+	// incrementally, but each still folds the addends of the groups after
+	// the moved one. From the greedy seed on 14 classes and 8 partitions
+	// a descent took 0.75 ms at 32 groups, 8 ms at 128, 89 ms at 512 and
+	// 1.2 s at 2 048 (2-core Xeon, one run each): ×11–14 per ×4 groups,
+	// where the greedy pass grows ×4.
 	if opt.greedyStandalone(req) {
 		return greedyComponent(req, c, opt)
 	}
@@ -139,7 +141,8 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 	// unassigned groups (NoPartition after a restricted-domain remap) is
 	// not a feasible plan and must not be seeded — Evaluate would index
 	// a nonexistent partition.
-	if prefer != nil && anchorFeasible(prefer, orig.NumPartitions) {
+	anchored := prefer != nil && anchorFeasible(prefer, orig.NumPartitions)
+	if anchored {
 		anchorRows := make([][]int, len(prefer))
 		for i, row := range prefer {
 			anchorRows[i] = append([]int(nil), row...)
@@ -158,6 +161,19 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 		}
 		best(seedCopy)
 		origOpts.Incumbent = seed
+	}
+
+	// A round that re-plans a running plan of more than treeThreshold
+	// classes — the size above which Algorithm 1 tree-optimizes — runs no
+	// cascade: the descent from the better of the anchor and the greedy
+	// seed is its plan. On the tpch benchmark's 14-class rounds the
+	// capped solves and detours never beat the running plan and were most
+	// of the round's time; across the tests and the quick figures they
+	// led to the better plan in 4 of 205 such rounds (two Fig. 10
+	// rounds, each met twice).
+	if anchored && !opt.MIPOnly && len(orig.Classes) > treeThreshold {
+		cr.polish(orig, anchorOpts, opt.Timeout/4)
+		return cr
 	}
 
 	steps, heuristics := planCascade(req, opt, orig, origOpts)
@@ -185,16 +201,20 @@ func solveComponentInner(req *Request, c *component, opt Options, orig *mip.Inst
 	// first.
 	parallel.ReleaseTokens(width - 1)
 
-	// Final polish: coordinated group-level moves (all classes of a
-	// group together), which per-class search misses under anchoring.
 	if cr.assign != nil && !opt.MIPOnly {
-		budget := opt.Timeout / 4
-		if assign, obj := coordinatedDescent(orig, anchorOpts, cr.assign, budget); obj < cr.objective {
-			cr.assign = assign
-			cr.objective = obj
-		}
+		cr.polish(orig, anchorOpts, opt.Timeout/4)
 	}
 	return cr
+}
+
+// polish runs the final coordinated group-level moves (all classes of a
+// group together, which per-class search misses under anchoring) from
+// the component's plan, and keeps what they improve.
+func (cr *componentResult) polish(orig *mip.Instance, anchorOpts mip.Options, budget time.Duration) {
+	if assign, obj := coordinatedDescent(orig, anchorOpts, cr.assign, budget); obj < cr.objective {
+		cr.assign = assign
+		cr.objective = obj
+	}
 }
 
 // step is one entry of the planned cascade: one MIP solve, or one

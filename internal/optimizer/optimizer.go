@@ -8,6 +8,17 @@
 // thresholds are the package constants below, and callers choose only
 // how each solve is bounded (a time budget or a node cap).
 //
+// Two kinds of round run no cascade. Above Options.GreedyThreshold the
+// streaming greedy tier replaces it. And a round that re-plans a
+// running plan — a feasible Anchor, MIPOnly off — of more than
+// treeThreshold query classes, the size above which Algorithm 1
+// tree-optimizes, takes the better of the anchor and the greedy seed
+// and runs the coordinated descent from it, as the cascade's polish
+// does; on the tpch benchmark's rounds the cascade's solves never beat
+// the running plan. Unanchored rounds, crash evacuations (an anchor on an excluded
+// partition) and rounds of at most treeThreshold classes keep the
+// cascade.
+//
 // The cascade is planned before anything is solved: which models it
 // solves never depends on an earlier solve's result, only where it
 // stops does. Under DeterministicBudget the planned solves run two at a
@@ -226,7 +237,9 @@ type Result struct {
 	// Elapsed is the wall-clock optimization time.
 	Elapsed time.Duration
 	// Solves counts MIP invocations; Heuristics lists cascade steps
-	// actually applied, in order.
+	// actually applied, in order. A round that runs no cascade (the
+	// greedy tier, or an anchored round of more than treeThreshold
+	// classes) reports 0 solves and no heuristics beyond "greedy".
 	Solves     int
 	Heuristics []string
 	// Nodes is the total branch-and-bound nodes explored across all MIP
@@ -237,11 +250,14 @@ type Result struct {
 	BoundGap float64
 	// SucceededVia names the cascade step that produced an accepted
 	// plan (of the last component to report one): a heuristic name,
-	// HeurOptGap for a full-model success, or "" when every component
-	// exhausted its cascade and returned the best incumbent.
+	// HeurOptGap for a full-model success, HeurGreedy for the greedy
+	// tier, or "" when every component exhausted its cascade or ran
+	// none (an anchored round of more than treeThreshold classes) and
+	// returned the best incumbent.
 	SucceededVia string
 	// Exact reports whether every component was solved to optimality /
-	// within the requested gap without heuristic reductions.
+	// within the requested gap without heuristic reductions; never on
+	// a round that runs no cascade.
 	Exact bool
 }
 

@@ -66,7 +66,10 @@
 #                      heuristics, crediting step and exactness),
 #                      the coordinated descent's incremental trial
 #                      scorer against full rescoring (bit-equal trial
-#                      scores, plan and objective),
+#                      scores, plan and objective), the anchored
+#                      many-class round against the descent from the
+#                      better of its anchor and greedy seed (bit-equal
+#                      plan and objective, no solve, allowed partitions),
 #                      the autoscaler policy's rate-limit/bounds
 #                      safety properties, the checkpoint delta
 #                      chain's materialize/fixpoint invariants, the
@@ -133,6 +136,7 @@ go test -run '^$' -fuzz FuzzWire -fuzztime 10s ./internal/runtime/
 go test -run '^$' -fuzz FuzzGreedyVsBB -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzCascadeWidth -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzDescentScorer -fuzztime 10s ./internal/optimizer/
+go test -run '^$' -fuzz FuzzAnchoredTier -fuzztime 10s ./internal/optimizer/
 go test -run '^$' -fuzz FuzzPolicyStep -fuzztime 10s ./internal/elastic/
 go test -run '^$' -fuzz FuzzDeltaChain -fuzztime 10s ./internal/checkpoint/
 go test -run '^$' -fuzz FuzzScript -fuzztime 10s ./internal/scenario/
